@@ -127,24 +127,24 @@ int main() {
   double speedup = percall_rate > 0 ? batched_rate / percall_rate : 0.0;
   bool gate_pass = speedup >= 5.0;
 
-  // Allocation gate (DESIGN.md §14): the same per-call trace with the
-  // spec-rep arenas off is the baseline; the arena-backed checker must
-  // allocate from the global heap >=10x less per checked step
-  // (ci/perf_floors.json). Per-call is the right denominator — in batched
-  // mode one checked step covers 256 inner syscalls, so the concrete
-  // kernel's own allocations dominate and the checking overhead the arenas
-  // remove is already amortized away.
+  // Allocation gate (DESIGN.md §14): heap allocations per checked step of
+  // the arena-backed per-call run, a deterministic counter bounded by
+  // max_heap_allocs_per_checked_step in ci/perf_floors.json. Per-call is the
+  // right denominator — in batched mode one checked step covers 256 inner
+  // syscalls, so the concrete kernel's own allocations dominate. The same
+  // trace with the spec arenas off is reported beside it (rate, heap
+  // allocations, ratio) as information: what the arenas save on checked
+  // steps that path-copy O(|dirty| · log n) nodes.
   atmo::CheckStats noarena_stats;
-  CheckedSyscallRate(micro_ops / 4, 0, &noarena_stats, /*use_arena=*/false);
+  double noarena_rate =
+      CheckedSyscallRate(micro_ops / 4, 0, &noarena_stats, /*use_arena=*/false);
   bool alloc_counting = atmo::obs::HeapCountingActive();
-  double arena_allocs_per_step =
-      percall_stats.steps > 0
-          ? static_cast<double>(percall_stats.heap_allocs) / percall_stats.steps
-          : 0.0;
-  double noarena_allocs_per_step =
-      noarena_stats.steps > 0
-          ? static_cast<double>(noarena_stats.heap_allocs) / noarena_stats.steps
-          : 0.0;
+  auto per_step = [](std::uint64_t count, const atmo::CheckStats& stats) {
+    return stats.steps > 0 ? static_cast<double>(count) / stats.steps : 0.0;
+  };
+  double arena_allocs_per_step = per_step(percall_stats.heap_allocs, percall_stats);
+  double arena_served_per_step = per_step(percall_stats.arena_allocs, percall_stats);
+  double noarena_allocs_per_step = per_step(noarena_stats.heap_allocs, noarena_stats);
   double alloc_reduction =
       arena_allocs_per_step > 0 ? noarena_allocs_per_step / arena_allocs_per_step : 0.0;
 
@@ -154,8 +154,12 @@ int main() {
               static_cast<unsigned long long>(batched_stats.batch_drains));
   std::printf("  amortization : %.2fx %s (gate: >=5x)\n", speedup,
               gate_pass ? "PASS" : "FAIL");
-  std::printf("  heap allocs / checked step: %.1f with arenas, %.1f without (%.1fx)\n",
-              arena_allocs_per_step, noarena_allocs_per_step, alloc_reduction);
+  std::printf("  heap allocs / checked step: %.1f with arenas (+ %.1f arena-served), "
+              "%.1f without (%.1fx)\n",
+              arena_allocs_per_step, arena_served_per_step, noarena_allocs_per_step,
+              alloc_reduction);
+  std::printf("  per-call rate without arenas: %12.0f checked syscalls/s (%.2fx with)\n",
+              noarena_rate, noarena_rate > 0 ? percall_rate / noarena_rate : 0.0);
 
   bool all_ok = true;
   for (const E2EResult& r : results) {
@@ -221,8 +225,10 @@ int main() {
     w->KV("speedup_gate_pass", gate_pass);
     w->KV("alloc_counting_active", alloc_counting);
     w->KV("heap_allocs_per_checked_step", arena_allocs_per_step, "%.2f");
+    w->KV("arena_allocs_per_checked_step", arena_served_per_step, "%.2f");
     w->KV("noarena_heap_allocs_per_checked_step", noarena_allocs_per_step, "%.2f");
     w->KV("alloc_reduction_vs_noarena", alloc_reduction, "%.2f");
+    w->KV("noarena_percall_checked_syscalls_per_sec", noarena_rate, "%.1f");
     w->KV("splice_zero_copy", splice_zero_copy);
     w->KV("splice_traced_req_per_sec", traced_best, "%.1f");
     w->KV("splice_untraced_req_per_sec", untraced_best, "%.1f");

@@ -9,11 +9,20 @@
 // (pure spec checking) and = 16 (the sampled-invariant configuration), plus
 // an informational row with the audit enabled. Emits a JSON summary and
 // verifies the acceptance thresholds (≥5x at wf=0, ≥2x at wf=16).
+//
+// A frames sweep then runs the incremental checker (wf and audit off) on
+// 16,384 / 65,536 / 262,144-frame machines. Its gated number is a counter,
+// allocations (heap + arena) per checked step, whose growth across the
+// sweep ci/perf_floors.json bounds: a checked step must cost O(|dirty| ·
+// log frames), not O(frames). Time per step is reported alongside, as
+// information only — a time ratio on a shared host moves with the noise.
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/pipeline.h"
+#include "src/obs/json_writer.h"
 #include "src/verif/refinement_checker.h"
 #include "src/verif/trace_gen.h"
 
@@ -27,8 +36,9 @@ struct Env {
   Kernel kernel;
   ThrdPtr thrd;
 
-  static Env Build() {
+  static Env Build(std::uint64_t frames = BootConfig{}.frames) {
     BootConfig config;  // defaults: 16384 frames (64 MiB), 16 reserved
+    config.frames = frames;
     Env env{std::move(*Kernel::Boot(config)), kNullPtr};
     auto ctnr = env.kernel.BootCreateContainer(env.kernel.root_container(), 4096, ~0ull);
     auto proc = env.kernel.BootCreateProcess(ctnr.value);
@@ -79,7 +89,47 @@ Result RunConfig(const char* name, const RefinementChecker::Options& options,
   return Result{name, options, row.ops_per_sec, checker.stats()};
 }
 
-void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_wf16) {
+// One row of the frames sweep: the same syscall mix on a machine of
+// `frames` frames, measured after a first step that seeds the cached Ψ with
+// a full Abstract() (an O(frames) one-off the per-step numbers exclude).
+struct SweepRow {
+  std::uint64_t frames = 0;
+  std::uint64_t steps = 0;
+  double steps_per_sec = 0.0;
+  double allocs_per_checked_step = 0.0;  // heap + arena
+  double abstraction_ns_per_step = 0.0;
+};
+
+SweepRow RunFramesRow(std::uint64_t frames, std::uint64_t ops) {
+  Env env = Env::Build(frames);
+  RefinementChecker checker(
+      &env.kernel, RefinementChecker::Options{.check_wf_every = 0, .audit_every = 0,
+                                              .incremental = true});
+  RunWorkload(&checker, env.thrd, 1);
+  CheckStats before = checker.stats();
+  char name[64];
+  std::snprintf(name, sizeof(name), "incremental, %llu frames",
+                static_cast<unsigned long long>(frames));
+  Row row = RunTimed(name, ops,
+                     [&](std::uint64_t n) { return RunWorkload(&checker, env.thrd, n); });
+  PrintRow(row, "K");
+  const CheckStats& after = checker.stats();
+  SweepRow out;
+  out.frames = frames;
+  out.steps = after.steps - before.steps;
+  out.steps_per_sec = row.ops_per_sec;
+  double steps = static_cast<double>(out.steps);
+  out.allocs_per_checked_step =
+      static_cast<double>((after.heap_allocs - before.heap_allocs) +
+                          (after.arena_allocs - before.arena_allocs)) /
+      steps;
+  out.abstraction_ns_per_step =
+      static_cast<double>(after.abstraction_ns - before.abstraction_ns) / steps;
+  return out;
+}
+
+void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_wf16,
+              const std::vector<SweepRow>& sweep) {
   obs::JsonWriter w;
   w.BeginObject();
   w.KV("bench", "incremental_refinement");
@@ -108,8 +158,26 @@ void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_w
   w.EndArray();
   w.KV("speedup_wf0", speedup_wf0, "%.2f");
   w.KV("speedup_wf16", speedup_wf16, "%.2f");
+  w.Key("frames_sweep").BeginArray();
+  for (const SweepRow& r : sweep) {
+    w.BeginObject();
+    w.KV("frames", r.frames);
+    w.KV("steps", r.steps);
+    w.KV("steps_per_sec", r.steps_per_sec, "%.1f");
+    w.KV("allocs_per_checked_step", r.allocs_per_checked_step, "%.2f");
+    w.KV("abstraction_ns_per_step", r.abstraction_ns_per_step, "%.1f");
+    w.EndObject();
+  }
+  w.EndArray();
+  w.KV("frames_alloc_growth",
+       sweep.back().allocs_per_checked_step / sweep.front().allocs_per_checked_step, "%.3f");
+  w.KV("frames_abstraction_time_growth",
+       sweep.back().abstraction_ns_per_step / sweep.front().abstraction_ns_per_step, "%.3f");
   w.EndObject();
   std::printf("\nJSON: %s\n", w.str().c_str());
+  if (obs::WriteTextFile("BENCH_incremental_refinement.json", w.str() + "\n")) {
+    std::printf("wrote BENCH_incremental_refinement.json\n");
+  }
 }
 
 }  // namespace
@@ -148,7 +216,23 @@ int main() {
 
   double speedup_wf0 = results[1].steps_per_sec / results[0].steps_per_sec;
   double speedup_wf16 = results[3].steps_per_sec / results[2].steps_per_sec;
-  EmitJson(results, 5, speedup_wf0, speedup_wf16);
+
+  std::printf("\n=== Frames sweep: incremental, wf off, audit off ===\n");
+  PrintHeader("checked syscall mix (mmap/munmap/yield)", "K steps/s");
+  std::vector<SweepRow> sweep;
+  for (std::uint64_t frames : {16384ull, 65536ull, 262144ull}) {
+    sweep.push_back(RunFramesRow(frames, inc_ops));
+  }
+  for (const SweepRow& r : sweep) {
+    std::printf("  %7llu frames: %7.1f allocs/checked step, %9.0f ns abstraction/step\n",
+                static_cast<unsigned long long>(r.frames), r.allocs_per_checked_step,
+                r.abstraction_ns_per_step);
+  }
+  std::printf("  16K -> 256K growth: allocs %.2fx (gated in ci/perf_floors.json), "
+              "abstraction time %.2fx (info)\n",
+              sweep.back().allocs_per_checked_step / sweep.front().allocs_per_checked_step,
+              sweep.back().abstraction_ns_per_step / sweep.front().abstraction_ns_per_step);
+  EmitJson(results, 5, speedup_wf0, speedup_wf16, sweep);
 
   bool ok_wf0 = speedup_wf0 >= 5.0;
   bool ok_wf16 = speedup_wf16 >= 2.0;

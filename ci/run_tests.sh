@@ -122,6 +122,22 @@ cmake --build build-ci-obsoff -j "$JOBS" --target obs_test
 
 echo "=== bench smoke (scaled down) ==="
 ATMO_BENCH_QUICK=1 ./build-ci/bench/bench_incremental_refinement
+# O(|dirty| · log frames) per checked step (DESIGN.md §8): allocations per
+# checked step — a deterministic counter — may grow at most
+# max_frames_alloc_growth from the 16K- to the 256K-frame machine. Time
+# per step is printed by the bench as information only.
+python3 - <<'EOF'
+import json, sys
+report = json.load(open("BENCH_incremental_refinement.json"))
+cap = json.load(open("ci/perf_floors.json"))["incremental_refinement"]["max_frames_alloc_growth"]
+sweep = report["frames_sweep"]
+growth = report["frames_alloc_growth"]
+rows = ", ".join(f'{r["frames"]}: {r["allocs_per_checked_step"]:.1f}' for r in sweep)
+if growth > cap:
+    sys.exit(f"bench_incremental_refinement: allocs/checked step grew {growth:.2f}x "
+             f"from {sweep[0]['frames']} to {sweep[-1]['frames']} frames (max {cap}x; {rows})")
+print(f"frames sweep OK (allocs/checked step {rows}; growth {growth:.2f}x <= {cap}x)")
+EOF
 ATMO_BENCH_QUICK=1 ./build-ci/bench/bench_parallel_sweep
 ATMO_BENCH_QUICK=1 ./build-ci/bench/bench_table3_syscall_latency
 # The syscall-latency gate must emit parseable JSON that says the flatness
@@ -170,17 +186,18 @@ speedup = report["batched_vs_percall_speedup"]
 if speedup < floors["min_speedup_batched_vs_percall"]:
     failures.append(f"batched/percall amortization {speedup:.2f}x < "
                     f'{floors["min_speedup_batched_vs_percall"]}x')
-# Allocation-free hot path (DESIGN.md §14): the arena-backed checker must
-# allocate >=10x less from the global heap per checked step than the same
-# trace with arenas off. Skipped when the counting hook is compiled out.
+# Allocation-free hot path (DESIGN.md §14): the arena-backed per-call
+# checker may make at most max_heap_allocs_per_checked_step global-heap
+# allocations per checked step (a deterministic counter). The arena-off
+# count and the ratio stay in the JSON as information. Skipped when the
+# counting hook is compiled out.
 if report.get("alloc_counting_active"):
-    reduction = report["alloc_reduction_vs_noarena"]
-    if reduction < floors["min_alloc_reduction_vs_noarena"]:
+    allocs = report["heap_allocs_per_checked_step"]
+    if allocs > floors["max_heap_allocs_per_checked_step"]:
         failures.append(
-            f"allocs/checked-step reduction {reduction:.1f}x < "
-            f'{floors["min_alloc_reduction_vs_noarena"]}x '
-            f'({report["heap_allocs_per_checked_step"]:.1f} arena vs '
-            f'{report["noarena_heap_allocs_per_checked_step"]:.1f} heap)')
+            f"{allocs:.2f} heap allocs per checked step > "
+            f'{floors["max_heap_allocs_per_checked_step"]} '
+            f'(arena-off run: {report["noarena_heap_allocs_per_checked_step"]:.1f})')
 # Zero-copy splice gate (DESIGN.md §15): the splice config must answer
 # requests without staging a single payload byte through memcpy. This is a
 # deterministic counter, not a rate, so the bound is exact.

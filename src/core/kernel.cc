@@ -1283,9 +1283,10 @@ SpecSeq<ThrdPtr> RunQueueView(const ProcessManager& pm) {
   return out;
 }
 
-// Writes `v` into `m[k]` only when it differs; a skipped write preserves the
-// map's COW rep sharing (the delta-abstraction equality fast path depends on
-// untouched maps staying rep-shared with the base snapshot).
+// Writes `v` into `m[k]` only when it differs; a skipped write leaves the
+// map sharing its nodes with earlier snapshots, so later comparisons skip
+// it (the delta-abstraction equality fast path depends on untouched maps
+// staying shared).
 template <typename K, typename V>
 void SetIfChanged(SpecMap<K, V>* m, const K& k, const V& v) {
   if (m->contains(k) && m->at(k) == v) {
@@ -1352,11 +1353,12 @@ DirtySet Kernel::DrainDirty() {
   return d;
 }
 
-AbstractKernel Kernel::AbstractDelta(const AbstractKernel& base, const DirtySet& dirty) const {
+void Kernel::AbstractDelta(AbstractKernel* psi, const DirtySet& dirty) const {
   if (dirty.overflow) {
-    return Abstract();  // log overflowed: the dirty set is not exhaustive
+    *psi = Abstract();  // log overflowed: the dirty set is not exhaustive
+    return;
   }
-  AbstractKernel a = base;  // O(1): every SpecMap/SpecSet copy shares its rep
+  AbstractKernel& a = *psi;
 
   for (CtnrPtr c : dirty.ctnrs) {
     if (pm_.ContainerExists(c)) {
@@ -1460,7 +1462,6 @@ AbstractKernel Kernel::AbstractDelta(const AbstractKernel& base, const DirtySet&
     }
     a.current = pm_.current();
   }
-  return a;
 }
 
 InvResult Kernel::MemorySafetyWf() const {

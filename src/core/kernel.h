@@ -106,11 +106,11 @@ class Kernel {
   // Drains every subsystem's mutation log: the set of objects whose
   // abstract view may differ from the last drained snapshot.
   DirtySet DrainDirty();
-  // Incremental abstraction: patches `base` (a faithful Ψ of the concrete
-  // state as of the previous drain) at exactly the dirty entries, yielding
-  // Abstract() in O(|dirty|) instead of O(machine). Falls back to a full
-  // Abstract() when the dirty log overflowed.
-  AbstractKernel AbstractDelta(const AbstractKernel& base, const DirtySet& dirty) const;
+  // Incremental abstraction: patches `psi` (a faithful Ψ of the concrete
+  // state as of the previous drain) in place at exactly the dirty entries,
+  // making it Abstract() in O(|dirty| · log n) instead of O(machine). Falls
+  // back to a full Abstract() when the dirty log overflowed.
+  void AbstractDelta(AbstractKernel* psi, const DirtySet& dirty) const;
   // total_wf(): conjunction of every subsystem invariant plus the global
   // memory-safety and leak-freedom arguments (§4.2).
   InvResult TotalWf() const;

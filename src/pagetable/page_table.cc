@@ -268,7 +268,7 @@ SpecMap<VAddr, MapEntry>& PageTable::MutableMapping(PageSize size) {
 
 SpecMap<VAddr, MapEntry> PageTable::AddressSpace() const {
   if (map_2m_.empty() && map_1g_.empty()) {
-    return map_4k_;  // COW share: O(1) for 4K-only address spaces
+    return map_4k_;  // shares the root: O(1) for 4K-only address spaces
   }
   SpecMap<VAddr, MapEntry> out = map_4k_;
   for (const auto& [va, entry] : map_2m_) {
@@ -426,8 +426,8 @@ void PageTable::CloneForVerificationInto(PageTable* out, PhysMem* mem) const {
     }
   }
   out->node_perms_.erase(dit, out->node_perms_.end());
-  // COW spec maps: O(1) rep shares. The hashed index copy-assign reuses the
-  // destination's bucket array.
+  // Persistent spec maps: O(1) root shares. The hashed index copy-assign
+  // reuses the destination's bucket array.
   out->node_info_ = node_info_;
   out->map_4k_ = map_4k_;
   out->map_2m_ = map_2m_;

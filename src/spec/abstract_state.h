@@ -148,11 +148,6 @@ struct AbstractKernel {
   friend bool operator==(const AbstractKernel&, const AbstractKernel&) = default;
 
   // --- Accessors mirroring the paper's notation ---
-  SpecSet<ThrdPtr> thread_dom() const { return KeySet(threads); }
-  SpecSet<ProcPtr> proc_dom() const { return KeySet(procs); }
-  SpecSet<CtnrPtr> cntr_dom() const { return KeySet(containers); }
-  SpecSet<EdptPtr> edpt_dom() const { return KeySet(endpoints); }
-
   const AbsThread& get_thread(ThrdPtr t) const { return threads.at(t); }
   const AbsProcess& get_proc(ProcPtr p) const { return procs.at(p); }
   const AbsContainer& get_cntr(CtnrPtr c) const { return containers.at(c); }
@@ -170,16 +165,6 @@ struct AbstractKernel {
            free_pages_1g.contains(p) ||
            free_pages_2m.contains(p & ~(kPageSize2M - 1)) ||
            free_pages_1g.contains(p & ~(kPageSize1G - 1));
-  }
-
- private:
-  template <typename K, typename V>
-  static SpecSet<K> KeySet(const SpecMap<K, V>& map) {
-    SpecSet<K> out;
-    for (const auto& [k, v] : map) {
-      out.add(k);
-    }
-    return out;
   }
 };
 

@@ -13,25 +13,12 @@
 namespace atmo {
 
 // dom(post.m) == dom(pre.m) ∪ added \ removed, and values agree outside
-// `touched` (touched keys may change or appear/disappear).
+// `touched` (touched keys may change or appear/disappear). Walks only the
+// parts of the two maps that are not shared (SpecMap::AgreeExcept).
 template <typename K, typename V>
 bool MapUnchangedExcept(const SpecMap<K, V>& pre, const SpecMap<K, V>& post,
                         const SpecSet<K>& touched) {
-  if (pre.SharesRepWith(post)) {
-    return true;  // COW witness: identical maps are trivially frame-respecting
-  }
-  bool pre_ok = pre.ForAll([&](const K& k, const V& v) {
-    if (touched.contains(k)) {
-      return true;
-    }
-    return post.contains(k) && post.at(k) == v;
-  });
-  if (!pre_ok) {
-    return false;
-  }
-  return post.ForAll([&](const K& k, const V&) {
-    return touched.contains(k) || pre.contains(k);
-  });
+  return SpecMap<K, V>::AgreeExcept(pre, post, [&](const K& k) { return touched.contains(k); });
 }
 
 inline bool ThreadsUnchangedExcept(const AbstractKernel& pre, const AbstractKernel& post,
@@ -75,16 +62,6 @@ inline bool RingsUnchangedExcept(const AbstractKernel& pre, const AbstractKernel
 
 inline bool SchedulerUnchanged(const AbstractKernel& pre, const AbstractKernel& post) {
   return pre.run_queue == post.run_queue && pre.current == post.current;
-}
-
-// Free sets shrink by exactly `taken` (which must have been free) and grow
-// by exactly `given`, per size class.
-inline bool FreeSetsDelta(const AbstractKernel& pre, const AbstractKernel& post,
-                          const SpecSet<PagePtr>& taken_4k, const SpecSet<PagePtr>& given_4k) {
-  if (!taken_4k.IsSubsetOf(pre.free_pages_4k)) {
-    return false;
-  }
-  return post.free_pages_4k == pre.free_pages_4k.Difference(taken_4k).Union(given_4k);
 }
 
 // Threads outside `touched` unchanged; threads inside changed at most in

@@ -11,8 +11,8 @@
 //   * at runtime — RefinementChecker::Step evaluates
 //     FrameProfileViolation(Ψ, Ψ', profile) after every Exec and fails
 //     verification if a component outside the profile changed. Unchanged
-//     components share their COW rep in incremental mode, so the check is
-//     O(1) per untouched component;
+//     components share their root node in incremental mode, so the check
+//     is O(1) per untouched component;
 //   * statically — tools/averif_lint's spec-coverage rule requires every
 //     SysOp enumerator to appear in the FrameProfileFor switch below (along
 //     with the spec dispatcher, the kernel dispatch and SysOpName), so a
@@ -141,9 +141,10 @@ constexpr FrameProfile FrameProfileFor(SysOp op) {
 
 // Checks that every component NOT in `profile` is identical between `pre`
 // and `post`. Returns the empty string on success, else the name of the
-// first out-of-frame component that changed. Component equality hits the
-// COW SharesRepWith fast path whenever the abstraction left the rep alone,
-// so a passing check on an untouched component is O(1).
+// first out-of-frame component that changed. Component equality skips
+// every subtree the two snapshots share (src/vstd/persistent_tree.h): a
+// passing check on an untouched component is one pointer compare, and on a
+// touched one costs O(|difference| · log n).
 inline std::string FrameProfileViolation(const AbstractKernel& pre, const AbstractKernel& post,
                                          const FrameProfile& profile) {
   if (!profile.threads && !(pre.threads == post.threads)) {

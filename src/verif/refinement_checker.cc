@@ -32,15 +32,14 @@ void RefinementChecker::EnsureArenas() {
   arenas_[1] = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
 }
 
-AbstractKernel RefinementChecker::Capture() {
+void RefinementChecker::Capture() {
   // Drain in both modes: the logs are append-only and must not grow without
   // bound across a long full-rebuild run.
   DirtySet dirty = kernel_->DrainDirty();
-  // Reps detached while building Ψ land in the checker's active arena (or
+  // Nodes written while patching Ψ land in the checker's active arena (or
   // the heap when use_arena is off — ArenaScope(nullptr) is the heap).
   ArenaScope arena_scope(ActiveArenaRef());
   std::uint64_t t0 = NowNs();
-  AbstractKernel psi;
   if (options_.incremental && cached_ && !dirty.overflow) {
     std::uint64_t entries = dirty.TotalEntries();
     stats_.dirty_entries += entries;
@@ -49,14 +48,21 @@ AbstractKernel RefinementChecker::Capture() {
     }
     ++stats_.delta_abstractions;
     ATMO_OBS_SPAN_ARG(obs::kCatCheck, "check.abstract_delta", "dirty_entries", entries);
-    psi = kernel_->AbstractDelta(*cached_, dirty);
+    kernel_->AbstractDelta(&*cached_, dirty);
   } else {
     ++stats_.full_abstractions;
     ATMO_OBS_SPAN(obs::kCatCheck, "check.abstract_full");
-    psi = kernel_->Abstract();
+    cached_ = kernel_->Abstract();
   }
   stats_.abstraction_ns += NowNs() - t0;
-  return psi;
+}
+
+AbstractKernel RefinementChecker::Snapshot() const {
+  // O(1) per tree: the copy shares every node with cached_, and the next
+  // capture path-copies only what it changes. SpecSeq copies land in the
+  // arena with the rest of the capture.
+  ArenaScope arena_scope(ActiveArenaRef());
+  return *cached_;
 }
 
 SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
@@ -77,11 +83,11 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   // Flight-recorder span for the whole checked syscall; the trailing 'E'
   // event carries the error name (or closes bare on a check violation).
   obs::ObsSpan sys_span(obs::kCatSyscall, obs::TraceOpLabel(call.op));
-  AbstractKernel pre = Capture();
-  cached_ = pre;
+  Capture();
+  AbstractKernel pre = Snapshot();
   kernel_->Dispatch(t);
-  AbstractKernel mid = Capture();
-  cached_ = mid;
+  Capture();
+  AbstractKernel mid = Snapshot();
 
   std::uint64_t t0 = NowNs();
   SpecResult dispatch = [&] {
@@ -95,8 +101,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   ATMO_CHECK(dispatch.ok, "dispatch refinement failed: " + dispatch.detail);
 
   SyscallRet ret = kernel_->Exec(t, call);
-  AbstractKernel post = Capture();
-  cached_ = std::move(post);
+  Capture();  // *cached_ is Ψ' from here on
 
   t0 = NowNs();
   SpecResult spec = [&] {
@@ -152,8 +157,8 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
       // The full rebuild happens in the PARTNER arena. On agreement the
       // rebuilt Ψ replaces cached_, so nothing durable references the
       // active arena any more; the roles flip and the old arena is reset
-      // at the start of the next Step (this step's locals still hold reps
-      // in it). This is the audit-aligned recycle point of DESIGN.md §14.
+      // at the start of the next Step (this step's snapshots still hold
+      // nodes in it). This is the audit-aligned recycle point of DESIGN.md §14.
       const int partner = 1 - active_arena_;
       ArenaScope arena_scope(arenas_[partner]);
       AbstractKernel full = kernel_->Abstract();

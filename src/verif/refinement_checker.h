@@ -10,11 +10,12 @@
 //   5. check total_wf(kernel)                  (well-formedness theorem)
 //
 // Incremental mode (the default) maintains Ψ across steps: each capture
-// patches the cached snapshot at exactly the entries the subsystems logged
-// as dirty (Kernel::AbstractDelta), so the per-step cost is O(|dirty|)
-// instead of O(machine). Soundness of the dirty logs is defended in depth
-// by a periodic audit: every `audit_every` steps the checker recomputes a
-// full Abstract() and requires it to equal the incrementally maintained Ψ.
+// patches the cached snapshot in place at exactly the entries the
+// subsystems logged as dirty (Kernel::AbstractDelta), so the per-step cost
+// is O(|dirty| · log n) instead of O(machine). Soundness of the dirty logs
+// is defended in depth by a periodic audit: every `audit_every` steps the
+// checker recomputes a full Abstract() and requires it to equal the
+// incrementally maintained Ψ.
 //
 // A spec, invariant, or audit failure is routed through ATMO_CHECK — the
 // same channel as permission violations — so tests can assert that
@@ -109,9 +110,11 @@ class RefinementChecker {
   }
 
  private:
-  // Drains the kernel's dirty logs and produces the current Ψ — by patching
-  // the cached snapshot when incremental, by full rebuild otherwise.
-  AbstractKernel Capture();
+  // Drains the kernel's dirty logs and brings cached_ up to the current Ψ —
+  // by patching it in place when incremental, by full rebuild otherwise.
+  void Capture();
+  // A copy of cached_ that later captures leave untouched.
+  AbstractKernel Snapshot() const;
   void EnsureArenas();
   // The arena new allocations should target right now (null = heap).
   const std::shared_ptr<SpecArena>& ActiveArenaRef() const {

@@ -1,23 +1,26 @@
-// SpecArena — bump/pool arena backing the COW reps of the spec collections.
+// SpecArena — bump/pool arena backing the nodes of the spec collections.
 //
-// Every checked step detaches fresh SpecMap/SpecSet reps (the incremental
-// abstraction's copy-on-write discipline) and throws the previous step's
-// intermediates away. Under the global heap that is a malloc/free pair per
-// map node per step — the dominant allocation cost on the checking hot path
-// (DESIGN.md §14). SpecArena replaces it with the percpu/prealloc idiom of
-// kernel/bpf/hashtab.c: node-sized blocks come from per-size-class free
-// lists threaded through retired nodes, refilled by bumping through large
-// chunks, so steady-state checking performs zero heap allocations.
+// Every checked step path-copies a few SpecMap/SpecSet nodes (the
+// persistent trees' write discipline, src/vstd/persistent_tree.h) and
+// throws the previous step's superseded nodes away. Under the global heap
+// that is a malloc/free pair per copied node — the checking hot path's
+// allocation cost (DESIGN.md §14). SpecArena replaces it with the
+// percpu/prealloc idiom of kernel/bpf/hashtab.c: node-sized blocks come from
+// per-size-class free lists threaded through retired nodes, refilled by
+// bumping through large chunks, so steady-state checking performs zero heap
+// allocations.
 //
 // Lifetime rules (enforced, not assumed):
 //
 //  * An ArenaScope installs an arena as the thread's current allocation
-//    target; every SpecMap/SpecSet rep detached (and every SpecSeq built)
+//    target; every spec-collection node written (and every SpecSeq built)
 //    inside the scope draws from it. No scope (the default everywhere
 //    outside the checker) means the global heap — behaviour unchanged.
-//  * ArenaAllocator holds shared ownership of its arena, so a rep can
-//    never outlive the chunks it lives in: an escaped snapshot keeps the
-//    arena alive instead of dangling.
+//  * The chunks live in a refcounted Pool that the SpecArena object and
+//    every live block co-own. A block can therefore never outlive the
+//    memory it sits in: a snapshot that escapes its scope — or outlives
+//    the SpecArena object, or is freed on another thread — keeps the pool
+//    alive until its last block is released.
 //  * Reset() rewinds the bump pointers and clears the free lists, but only
 //    when no allocation is live; a Reset refused because a snapshot
 //    escaped is a skipped recycle, never a use-after-reset. The
@@ -51,6 +54,7 @@ class SpecArena {
   static constexpr std::size_t kMinClassBytes = 32;
   static constexpr std::size_t kMaxClassBytes = 4096;
   static constexpr std::size_t kClassCount = 8;  // 32..4096
+  static constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 
   struct Stats {
     std::uint64_t chunk_bytes = 0;      // reserved from the heap, reusable
@@ -62,23 +66,14 @@ class SpecArena {
     std::uint64_t refused_resets = 0;   // live allocations blocked a Reset
   };
 
-  explicit SpecArena(std::size_t reserve_bytes = 0,
-                     std::size_t chunk_bytes = kDefaultChunkBytes)
-      : chunk_bytes_(chunk_bytes < kMaxClassBytes + kHeaderBytes
-                         ? kMaxClassBytes + kHeaderBytes
-                         : chunk_bytes),
-        owner_(std::this_thread::get_id()) {
-    while (reserved() < reserve_bytes) {
-      AddChunk();
-    }
-  }
+  // The memory an arena allocates from. Opaque outside this file; a
+  // persistent structure holds one (Ref/Unref) while it places new nodes
+  // beside a block it updates in place.
+  class Pool;
 
-  ~SpecArena() {
-    // ArenaAllocator's shared ownership guarantees no rep outlives us.
-    for (Chunk& c : chunks_) {
-      ::operator delete(c.base, std::align_val_t{kHeaderAlign});
-    }
-  }
+  explicit SpecArena(std::size_t reserve_bytes = 0,
+                     std::size_t chunk_bytes = kDefaultChunkBytes);
+  ~SpecArena();
 
   SpecArena(const SpecArena&) = delete;
   SpecArena& operator=(const SpecArena&) = delete;
@@ -86,88 +81,70 @@ class SpecArena {
   // The thread's currently installed arena (may be null = heap).
   static const std::shared_ptr<SpecArena>& Current();
 
-  void* Allocate(std::size_t bytes) {
-    int cls = ClassOf(bytes);
-    if (cls < 0 || std::this_thread::get_id() != owner_) {
-      ++stats_.heap_fallbacks;
-      Header* h = static_cast<Header*>(
-          ::operator new(bytes + kHeaderBytes, std::align_val_t{kHeaderAlign}));
-      h->owner = nullptr;
-      h->size_class = -1;
-      return h + 1;
-    }
-    ++stats_.allocs;
-    ++live_;
-    if (free_lists_[cls] != nullptr) {
-      ++stats_.freelist_hits;
-      FreeNode* node = free_lists_[cls];
-      free_lists_[cls] = node->next;
-      Header* h = reinterpret_cast<Header*>(node);
-      h->owner = this;
-      h->size_class = cls;
-      return h + 1;
-    }
-    std::size_t need = ClassBytes(cls) + kHeaderBytes;
-    if (chunks_.empty() || chunks_[chunk_index_].size - cursor_ < need) {
-      if (!Advance(need)) {
-        AddChunk();
-        chunk_index_ = chunks_.size() - 1;
-        cursor_ = 0;
-      }
-    }
-    Header* h = reinterpret_cast<Header*>(chunks_[chunk_index_].base + cursor_);
-    cursor_ += need;
-    h->owner = this;
-    h->size_class = cls;
-    return h + 1;
-  }
+  void* Allocate(std::size_t bytes) { return AllocateFrom(pool_, bytes); }
+  // Allocates from `pool` (non-null). Requests from a thread other than the
+  // pool's owner, or above kMaxClassBytes, go to the heap.
+  static void* AllocateFrom(Pool* pool, std::size_t bytes);
 
   // Routes `p` (a pointer previously returned by any SpecArena's Allocate,
-  // or the heap fallback) back where it came from. Static so the allocator
-  // does not need to know which arena served the block.
-  static void Deallocate(void* p) {
-    Header* h = static_cast<Header*>(p) - 1;
-    if (h->owner == nullptr) {
-      ::operator delete(h, std::align_val_t{kHeaderAlign});
-      return;
-    }
-    h->owner->Release(h);
-  }
+  // or the heap fallback) back where it came from. Static so callers do not
+  // need to know which arena served the block.
+  static void Deallocate(void* p);
+
+  // The pool that served `block`, or null for a heap-fallback block.
+  static Pool* PoolOf(const void* block);
+  Pool* pool() const { return pool_; }
 
   // Rewinds the bump cursor and clears the free lists. Only legal (and only
   // performed) when nothing is live; returns whether the reset happened.
-  bool Reset() {
-    if (live_ != 0) {
-      ++stats_.refused_resets;
-      return false;
-    }
-    for (FreeNode*& head : free_lists_) {
-      head = nullptr;
-    }
-    chunk_index_ = 0;
-    cursor_ = 0;
-    ++stats_.resets;
-    return true;
-  }
+  bool Reset();
 
-  std::uint64_t live() const { return live_; }
-  std::uint64_t reserved() const { return stats_.chunk_bytes; }
-  const Stats& stats() const { return stats_; }
+  std::uint64_t live() const;
+  std::uint64_t reserved() const;
+  const Stats& stats() const;
   // Cross-thread frees (counted, not recycled); the only counter that may
   // be touched off the owning thread, hence atomic.
-  std::uint64_t foreign_frees() const {
-    return foreign_frees_.load(std::memory_order_relaxed);
-  }
-
-  static constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
+  std::uint64_t foreign_frees() const;
 
  private:
   friend class ArenaScope;
 
   struct Header {
-    SpecArena* owner;
+    Pool* owner;              // null: heap fallback
     std::int64_t size_class;  // pads the header to 16 bytes
   };
+  static constexpr std::size_t kHeaderBytes = sizeof(Header);
+  static constexpr std::size_t kHeaderAlign = alignof(std::max_align_t);
+  static_assert(kHeaderBytes == 16, "header must preserve 16-byte alignment");
+
+  static void* HeapBlock(std::size_t bytes) {
+    Header* h = static_cast<Header*>(
+        ::operator new(bytes + kHeaderBytes, std::align_val_t{kHeaderAlign}));
+    h->owner = nullptr;
+    h->size_class = -1;
+    return h + 1;
+  }
+
+  Pool* pool_;
+};
+
+class SpecArena::Pool {
+ public:
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  // One reference per SpecArena object, per live block and per in-flight
+  // write that allocates beside a block; the last Unref frees the chunks.
+  void Ref() { refs_.fetch_add(1); }
+  void Unref() {
+    if (refs_.fetch_sub(1) == 1) {
+      delete this;
+    }
+  }
+
+ private:
+  friend class SpecArena;
+
   struct FreeNode {
     FreeNode* next;
   };
@@ -176,9 +153,21 @@ class SpecArena {
     std::size_t size;
   };
 
-  static constexpr std::size_t kHeaderBytes = sizeof(Header);
-  static constexpr std::size_t kHeaderAlign = alignof(std::max_align_t);
-  static_assert(kHeaderBytes == 16, "header must preserve 16-byte alignment");
+  Pool(std::size_t reserve_bytes, std::size_t chunk_bytes)
+      : chunk_bytes_(chunk_bytes < kMaxClassBytes + kHeaderBytes
+                         ? kMaxClassBytes + kHeaderBytes
+                         : chunk_bytes),
+        owner_(std::this_thread::get_id()) {
+    while (stats_.chunk_bytes < reserve_bytes) {
+      AddChunk();
+    }
+  }
+
+  ~Pool() {
+    for (Chunk& c : chunks_) {
+      ::operator delete(c.base, std::align_val_t{kHeaderAlign});
+    }
+  }
 
   static constexpr std::size_t ClassBytes(int cls) {
     return kMinClassBytes << cls;
@@ -194,19 +183,66 @@ class SpecArena {
     return -1;  // oversize: heap fallback
   }
 
+  void* Allocate(std::size_t bytes) {
+    int cls = ClassOf(bytes);
+    if (cls < 0 || std::this_thread::get_id() != owner_) {
+      ++stats_.heap_fallbacks;
+      return HeapBlock(bytes);
+    }
+    Ref();
+    ++stats_.allocs;
+    ++live_;
+    Header* h;
+    if (free_lists_[cls] != nullptr) {
+      ++stats_.freelist_hits;
+      FreeNode* node = free_lists_[cls];
+      free_lists_[cls] = node->next;
+      h = reinterpret_cast<Header*>(node);
+    } else {
+      std::size_t need = ClassBytes(cls) + kHeaderBytes;
+      if (chunks_.empty() || chunks_[chunk_index_].size - cursor_ < need) {
+        if (!Advance(need)) {
+          AddChunk();
+          chunk_index_ = chunks_.size() - 1;
+          cursor_ = 0;
+        }
+      }
+      h = reinterpret_cast<Header*>(chunks_[chunk_index_].base + cursor_);
+      cursor_ += need;
+    }
+    h->owner = this;
+    h->size_class = cls;
+    return h + 1;
+  }
+
   void Release(Header* h) {
     if (std::this_thread::get_id() != owner_) {
       // Cross-thread free: recycling through the unsynchronized free list
       // would race, so the block is counted and dropped. Its chunk memory
-      // is only reclaimed once the owner's live count reaches zero again —
+      // is only reused once the owner's live count reaches zero again —
       // the worst case is a refused Reset, never a race.
       foreign_frees_.fetch_add(1, std::memory_order_relaxed);
-      return;
+    } else {
+      FreeNode* node = reinterpret_cast<FreeNode*>(h);
+      node->next = free_lists_[h->size_class];
+      free_lists_[h->size_class] = node;
+      --live_;
     }
-    FreeNode* node = reinterpret_cast<FreeNode*>(h);
-    node->next = free_lists_[h->size_class];
-    free_lists_[h->size_class] = node;
-    --live_;
+    Unref();  // may free the pool: nothing after this line
+  }
+
+  bool Reset() {
+    if (live_ != 0) {
+      ++stats_.refused_resets;
+      return false;
+    }
+    for (FreeNode*& head : free_lists_) {
+      head = nullptr;
+    }
+    chunk_index_ = 0;
+    cursor_ = 0;
+    ++stats_.resets;
+    return true;
   }
 
   bool Advance(std::size_t need) {
@@ -225,11 +261,13 @@ class SpecArena {
     c.size = chunk_bytes_;
     c.base = static_cast<std::uint8_t*>(
         ::operator new(c.size, std::align_val_t{kHeaderAlign}));
+    // averif-lint: allow(hot-path-alloc) — one chunk per ~5K node blocks, and Reset reuses every chunk, so steady-state checking stops growing the list
     chunks_.push_back(c);
     stats_.chunk_bytes += c.size;
     ++stats_.chunks;
   }
 
+  std::atomic<std::uint64_t> refs_{1};
   std::size_t chunk_bytes_;
   std::thread::id owner_;
   std::vector<Chunk> chunks_;
@@ -240,6 +278,36 @@ class SpecArena {
   Stats stats_;
   std::atomic<std::uint64_t> foreign_frees_{0};
 };
+
+inline SpecArena::SpecArena(std::size_t reserve_bytes, std::size_t chunk_bytes)
+    : pool_(new Pool(reserve_bytes, chunk_bytes)) {}
+
+inline SpecArena::~SpecArena() { pool_->Unref(); }
+
+inline void* SpecArena::AllocateFrom(Pool* pool, std::size_t bytes) {
+  return pool->Allocate(bytes);
+}
+
+inline void SpecArena::Deallocate(void* p) {
+  Header* h = static_cast<Header*>(p) - 1;
+  if (h->owner == nullptr) {
+    ::operator delete(h, std::align_val_t{kHeaderAlign});
+    return;
+  }
+  h->owner->Release(h);
+}
+
+inline SpecArena::Pool* SpecArena::PoolOf(const void* block) {
+  return (static_cast<const Header*>(block) - 1)->owner;
+}
+
+inline bool SpecArena::Reset() { return pool_->Reset(); }
+inline std::uint64_t SpecArena::live() const { return pool_->live_; }
+inline std::uint64_t SpecArena::reserved() const { return pool_->stats_.chunk_bytes; }
+inline const SpecArena::Stats& SpecArena::stats() const { return pool_->stats_; }
+inline std::uint64_t SpecArena::foreign_frees() const {
+  return pool_->foreign_frees_.load(std::memory_order_relaxed);
+}
 
 // RAII install of an arena as the thread's current spec-allocation target.
 // Scopes nest; each restores its predecessor.

@@ -6,54 +6,54 @@
 // insert, remove, submap/union, extensional equality) and quantifier helpers
 // used to transliterate `forall` specs.
 //
-// Representation: copy-on-write structural sharing. Copying a SpecMap is
-// O(1) (the shared_ptr rep is shared); the first mutation of a shared map
-// detaches a private copy. Extensional equality and the frame-condition
-// helpers short-circuit when two maps share a rep, which makes the paper's
+// Representation: a persistent treap (src/vstd/persistent_tree.h). Copying
+// a SpecMap is O(1); a write path-copies O(log n) nodes and shares the rest
+// with every other copy. Because the tree's shape is a function of its key
+// set, extensional equality and the frame-condition helpers (AgreeExcept*,
+// IsSubmapOf) walk two maps together and skip every shared subtree: their
+// cost is the size of the difference times log n, which makes the paper's
 // strongest frame condition (`error ==> Ψ' == Ψ`) near-free for states
 // produced by the incremental abstraction layer (Kernel::AbstractDelta).
-// A null rep denotes the empty map.
 //
-// Allocation: reps draw from the thread's current SpecArena when one is
+// Allocation: nodes come from the thread's current SpecArena when one is
 // installed (ArenaScope — the refinement checker's hot path), and from the
-// global heap otherwise. The arena is captured at detach time and co-owned
-// by the rep, so a rep can never dangle (src/vstd/arena.h lifetime rules).
+// global heap otherwise (src/vstd/arena.h lifetime rules).
 
 #ifndef ATMO_SRC_VSTD_SPEC_MAP_H_
 #define ATMO_SRC_VSTD_SPEC_MAP_H_
 
-#include <map>
-#include <memory>
+#include <initializer_list>
 #include <utility>
 
-#include "src/vstd/arena.h"
 #include "src/vstd/check.h"
+#include "src/vstd/persistent_tree.h"
 
 namespace atmo {
 
 template <typename K, typename V>
 class SpecMap {
+  using Tree = PersistentTree<K, V>;
+  using Entry = typename Tree::Entry;
+
  public:
   SpecMap() = default;
-  SpecMap(std::initializer_list<std::pair<const K, V>> init) {
-    if (init.size() != 0) {
-      NodeAlloc alloc;
-      rep_ = std::allocate_shared<Rep>(alloc, init, std::less<K>(), alloc);
+  SpecMap(std::initializer_list<Entry> init) {
+    for (const Entry& e : init) {
+      tree_.Put(e.first, e.second);
     }
   }
 
-  bool contains(const K& k) const { return rep_ && rep_->find(k) != rep_->end(); }
+  bool contains(const K& k) const { return tree_.Find(k) != nullptr; }
 
   // Map index; the key must be in the domain (spec-level partiality).
   const V& at(const K& k) const {
-    ATMO_CHECK(rep_ != nullptr, "SpecMap::at on key outside dom()");
-    auto it = rep_->find(k);
-    ATMO_CHECK(it != rep_->end(), "SpecMap::at on key outside dom()");
-    return it->second;
+    const Entry* e = tree_.Find(k);
+    ATMO_CHECK(e != nullptr, "SpecMap::at on key outside dom()");
+    return e->second;
   }
 
-  std::size_t size() const { return rep_ ? rep_->size() : 0; }
-  bool empty() const { return !rep_ || rep_->empty(); }
+  std::size_t size() const { return tree_.size(); }
+  bool empty() const { return tree_.empty(); }
 
   // Functional update: returns a copy with k -> v (O(1) copy + one write).
   SpecMap insert(const K& k, const V& v) const {
@@ -70,18 +70,13 @@ class SpecMap {
   }
 
   // In-place variants (used when building abstract states incrementally).
-  void set(const K& k, const V& v) { Detach()[k] = v; }
-  void erase(const K& k) {
-    if (!contains(k)) {
-      return;  // no-op: keep the rep shared
-    }
-    Detach().erase(k);
-  }
+  void set(const K& k, const V& v) { tree_.Put(k, v); }
+  void erase(const K& k) { tree_.Erase(k); }  // absent key: no-op, stays shared
 
   // `forall |k| dom.contains(k) ==> p(k, self[k])`.
   template <typename Pred>
   bool ForAll(Pred p) const {
-    for (const auto& [k, v] : view()) {
+    for (const auto& [k, v] : tree_) {
       if (!p(k, v)) {
         return false;
       }
@@ -92,7 +87,7 @@ class SpecMap {
   // `exists |k| dom.contains(k) && p(k, self[k])`.
   template <typename Pred>
   bool Exists(Pred p) const {
-    for (const auto& [k, v] : view()) {
+    for (const auto& [k, v] : tree_) {
       if (p(k, v)) {
         return true;
       }
@@ -100,109 +95,47 @@ class SpecMap {
     return false;
   }
 
-  // True when both maps share one rep: equal by construction, O(1).
-  bool SharesRepWith(const SpecMap& other) const { return rep_ == other.rep_; }
+  // True when both maps share one root: equal by construction, O(1).
+  bool SharesRepWith(const SpecMap& other) const { return tree_.SharesRootWith(other.tree_); }
 
   // Extensional equality (`=~=`).
-  friend bool operator==(const SpecMap& a, const SpecMap& b) {
-    if (a.rep_ == b.rep_) {
-      return true;
-    }
-    return a.view() == b.view();
-  }
+  friend bool operator==(const SpecMap& a, const SpecMap& b) { return a.tree_ == b.tree_; }
 
   // True if every binding of this map is also a binding of `other`.
   bool IsSubmapOf(const SpecMap& other) const {
-    if (SharesRepWith(other)) {
-      return true;
-    }
-    for (const auto& [k, v] : view()) {
-      if (!other.contains(k) || !(other.at(k) == v)) {
-        return false;
-      }
-    }
-    return true;
+    return size() <= other.size() &&
+           Tree::ForEachDifference(tree_, other.tree_, [](const Entry* mine, const Entry*) {
+             return mine == nullptr;  // only `other` may hold extra keys
+           });
+  }
+
+  // True if `a` and `b` agree at every key except possibly where
+  // `may_differ(key)` holds: `forall |k| !may_differ(k) ==> (a.dom.contains(k)
+  // == b.dom.contains(k) && a[k] == b[k])`.
+  template <typename Pred>
+  static bool AgreeExcept(const SpecMap& a, const SpecMap& b, Pred may_differ) {
+    return Tree::ForEachDifference(a.tree_, b.tree_, [&](const Entry* x, const Entry* y) {
+      return may_differ((x != nullptr ? x : y)->first);
+    });
   }
 
   // True if `a` and `b` agree everywhere except possibly at `k`.
   static bool AgreeExceptAt(const SpecMap& a, const SpecMap& b, const K& k) {
-    if (a.SharesRepWith(b)) {
-      return true;
-    }
-    for (const auto& [key, v] : a.view()) {
-      if (key == k) {
-        continue;
-      }
-      if (!b.contains(key) || !(b.at(key) == v)) {
-        return false;
-      }
-    }
-    for (const auto& [key, v] : b.view()) {
-      if (key == k) {
-        continue;
-      }
-      if (!a.contains(key)) {
-        return false;
-      }
-    }
-    return true;
+    return AgreeExcept(a, b, [&](const K& key) { return key == k; });
   }
 
   // True if `a` and `b` agree everywhere except possibly at `k1` and `k2`
   // (two-key frame condition: e.g. an address space touched at both the
   // grant source and destination by a self-directed move/borrow grant).
   static bool AgreeExceptAt2(const SpecMap& a, const SpecMap& b, const K& k1, const K& k2) {
-    if (a.SharesRepWith(b)) {
-      return true;
-    }
-    for (const auto& [key, v] : a.view()) {
-      if (key == k1 || key == k2) {
-        continue;
-      }
-      if (!b.contains(key) || !(b.at(key) == v)) {
-        return false;
-      }
-    }
-    for (const auto& [key, v] : b.view()) {
-      if (key == k1 || key == k2) {
-        continue;
-      }
-      if (!a.contains(key)) {
-        return false;
-      }
-    }
-    return true;
+    return AgreeExcept(a, b, [&](const K& key) { return key == k1 || key == k2; });
   }
 
-  auto begin() const { return view().begin(); }
-  auto end() const { return view().end(); }
+  auto begin() const { return tree_.begin(); }
+  auto end() const { return tree_.end(); }
 
  private:
-  using NodeAlloc = ArenaAllocator<std::pair<const K, V>>;
-  using Rep = std::map<K, V, std::less<K>, NodeAlloc>;
-
-  const Rep& view() const {
-    // Explicit null arena: kEmpty must not capture (and pin) whatever arena
-    // happens to be in scope on first use.
-    static const Rep kEmpty{NodeAlloc(nullptr)};
-    return rep_ ? *rep_ : kEmpty;
-  }
-
-  // Detached reps are placed wherever the *current* scope says, not where
-  // the source rep lived: a checker-scoped patch of a heap-built snapshot
-  // lands in the checker's arena, and an unscoped copy of an arena-built
-  // snapshot lands on the heap.
-  Rep& Detach() {
-    NodeAlloc alloc;
-    if (!rep_) {
-      rep_ = std::allocate_shared<Rep>(alloc, alloc);
-    } else if (rep_.use_count() > 1) {
-      rep_ = std::allocate_shared<Rep>(alloc, *rep_, alloc);
-    }
-    return *rep_;
-  }
-
-  std::shared_ptr<Rep> rep_;
+  Tree tree_;
 };
 
 }  // namespace atmo

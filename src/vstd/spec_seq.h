@@ -3,7 +3,7 @@
 // Used for ghost sequences such as a container's `path` (the sequence of
 // direct and indirect parents from the root, Listing 2).
 //
-// Unlike SpecMap/SpecSet the rep is a plain vector (no COW), but its storage
+// Unlike SpecMap/SpecSet the rep is a plain vector (not persistent), but its storage
 // follows the same arena discipline: sequences built or copied under an
 // ArenaScope draw from the scope's arena, others from the heap. The copy
 // operations re-choose the allocator from the *current* scope rather than

@@ -1,37 +1,35 @@
 // SpecSet<T> — executable analog of Verus `Set<T>`.
 //
-// Copy-on-write structural sharing, mirroring SpecMap: copies are O(1),
-// mutation detaches a private rep, and equality / subset / disjointness
-// short-circuit when two sets share a rep. A null rep denotes the empty set.
-// Reps are arena-backed under an ArenaScope, heap-backed otherwise — same
-// allocation discipline as SpecMap (src/vstd/arena.h).
+// The same persistent treap as SpecMap (src/vstd/persistent_tree.h): copies
+// are O(1), a write path-copies O(log n) nodes, and equality / subset walk
+// two sets together, skipping every subtree they share. The empty set has
+// no nodes. Nodes are arena-backed under an ArenaScope, heap-backed
+// otherwise — same allocation discipline as SpecMap (src/vstd/arena.h).
 
 #ifndef ATMO_SRC_VSTD_SPEC_SET_H_
 #define ATMO_SRC_VSTD_SPEC_SET_H_
 
-#include <functional>
 #include <initializer_list>
-#include <memory>
-#include <set>
 
-#include "src/vstd/arena.h"
+#include "src/vstd/persistent_tree.h"
 
 namespace atmo {
 
 template <typename T>
 class SpecSet {
+  using Tree = PersistentTree<T>;
+
  public:
   SpecSet() = default;
   SpecSet(std::initializer_list<T> init) {
-    if (init.size() != 0) {
-      NodeAlloc alloc;
-      rep_ = std::allocate_shared<Rep>(alloc, init, std::less<T>(), alloc);
+    for (const T& t : init) {
+      tree_.Put(t);
     }
   }
 
-  bool contains(const T& t) const { return rep_ && rep_->find(t) != rep_->end(); }
-  std::size_t size() const { return rep_ ? rep_->size() : 0; }
-  bool empty() const { return !rep_ || rep_->empty(); }
+  bool contains(const T& t) const { return tree_.Find(t) != nullptr; }
+  std::size_t size() const { return tree_.size(); }
+  bool empty() const { return tree_.empty(); }
 
   SpecSet insert(const T& t) const {
     SpecSet out = *this;
@@ -45,31 +43,22 @@ class SpecSet {
     return out;
   }
 
-  // In-place variants. Both are no-ops (keeping the rep shared) when the
+  // In-place variants. Both are no-ops (keeping the nodes shared) when the
   // element is already present / absent.
-  void add(const T& t) {
-    if (contains(t)) {
-      return;
-    }
-    // averif-lint: allow(hot-path-alloc) — reached only via SysNewContainer (cold spawn); checker-side inserts run under ArenaScope and land in the SpecArena
-    Detach().insert(t);
-  }
-  void erase(const T& t) {
-    if (!contains(t)) {
-      return;
-    }
-    Detach().erase(t);
-  }
+  void add(const T& t) { tree_.Put(t); }
+  void erase(const T& t) { tree_.Erase(t); }
 
+  // The set operations start from the larger operand (an O(1) copy) when
+  // that is cheaper than rebuilding, so their cost follows the smaller one.
   SpecSet Union(const SpecSet& other) const {
-    if (other.empty() || SharesRepWith(other)) {
+    if (SharesRepWith(other)) {
       return *this;
     }
-    if (empty()) {
-      return other;
+    const SpecSet& small = size() <= other.size() ? *this : other;
+    SpecSet out = size() <= other.size() ? other : *this;
+    for (const T& t : small) {
+      out.add(t);
     }
-    SpecSet out = *this;
-    out.Detach().insert(other.rep_->begin(), other.rep_->end());
     return out;
   }
 
@@ -77,9 +66,11 @@ class SpecSet {
     if (SharesRepWith(other)) {
       return *this;
     }
+    const SpecSet& small = size() <= other.size() ? *this : other;
+    const SpecSet& large = size() <= other.size() ? other : *this;
     SpecSet out;
-    for (const T& t : view()) {
-      if (other.contains(t)) {
+    for (const T& t : small) {
+      if (large.contains(t)) {
         out.add(t);
       }
     }
@@ -90,8 +81,15 @@ class SpecSet {
     if (SharesRepWith(other)) {
       return SpecSet{};
     }
+    if (other.size() < size()) {
+      SpecSet out = *this;
+      for (const T& t : other) {
+        out.erase(t);
+      }
+      return out;
+    }
     SpecSet out;
-    for (const T& t : view()) {
+    for (const T& t : *this) {
       if (!other.contains(t)) {
         out.add(t);
       }
@@ -100,15 +98,10 @@ class SpecSet {
   }
 
   bool IsSubsetOf(const SpecSet& other) const {
-    if (SharesRepWith(other)) {
-      return true;
-    }
-    for (const T& t : view()) {
-      if (!other.contains(t)) {
-        return false;
-      }
-    }
-    return true;
+    return size() <= other.size() &&
+           Tree::ForEachDifference(tree_, other.tree_, [](const T* mine, const T*) {
+             return mine == nullptr;  // only `other` may hold extra elements
+           });
   }
 
   // Pairwise disjointness: no element in common.
@@ -117,12 +110,12 @@ class SpecSet {
       return true;
     }
     if (SharesRepWith(other)) {
-      return false;  // shared non-empty rep: every element is common
+      return false;  // shared non-empty set: every element is common
     }
     // Iterate the smaller side.
     const SpecSet& small = size() <= other.size() ? *this : other;
     const SpecSet& large = size() <= other.size() ? other : *this;
-    for (const T& t : small.view()) {
+    for (const T& t : small) {
       if (large.contains(t)) {
         return false;
       }
@@ -132,7 +125,7 @@ class SpecSet {
 
   template <typename Pred>
   bool ForAll(Pred p) const {
-    for (const T& t : view()) {
+    for (const T& t : tree_) {
       if (!p(t)) {
         return false;
       }
@@ -142,7 +135,7 @@ class SpecSet {
 
   template <typename Pred>
   bool Exists(Pred p) const {
-    for (const T& t : view()) {
+    for (const T& t : tree_) {
       if (p(t)) {
         return true;
       }
@@ -150,41 +143,16 @@ class SpecSet {
     return false;
   }
 
-  // True when both sets share one rep: equal by construction, O(1).
-  bool SharesRepWith(const SpecSet& other) const { return rep_ == other.rep_; }
+  // True when both sets share one root: equal by construction, O(1).
+  bool SharesRepWith(const SpecSet& other) const { return tree_.SharesRootWith(other.tree_); }
 
-  friend bool operator==(const SpecSet& a, const SpecSet& b) {
-    if (a.rep_ == b.rep_) {
-      return true;
-    }
-    return a.view() == b.view();
-  }
+  friend bool operator==(const SpecSet& a, const SpecSet& b) { return a.tree_ == b.tree_; }
 
-  auto begin() const { return view().begin(); }
-  auto end() const { return view().end(); }
+  auto begin() const { return tree_.begin(); }
+  auto end() const { return tree_.end(); }
 
  private:
-  using NodeAlloc = ArenaAllocator<T>;
-  using Rep = std::set<T, std::less<T>, NodeAlloc>;
-
-  const Rep& view() const {
-    static const Rep kEmpty{NodeAlloc(nullptr)};
-    return rep_ ? *rep_ : kEmpty;
-  }
-
-  // Detached reps land in the *current* scope's arena (or the heap when no
-  // scope is installed) — see SpecMap::Detach for the rationale.
-  Rep& Detach() {
-    NodeAlloc alloc;
-    if (!rep_) {
-      rep_ = std::allocate_shared<Rep>(alloc, alloc);
-    } else if (rep_.use_count() > 1) {
-      rep_ = std::allocate_shared<Rep>(alloc, *rep_, alloc);
-    }
-    return *rep_;
-  }
-
-  std::shared_ptr<Rep> rep_;
+  Tree tree_;
 };
 
 }  // namespace atmo

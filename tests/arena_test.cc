@@ -3,9 +3,10 @@
 // CloneForVerification differential over randomized traces.
 //
 // The arena's safety argument is lifetime-based, not convention-based:
-// ArenaAllocator holds shared ownership, Reset() refuses while anything is
-// live, and cross-thread frees are counted instead of recycled. Each of
-// those defenses is exercised here, including the failure directions.
+// every live block co-owns the arena's chunks, Reset() refuses while
+// anything is live, and cross-thread frees are counted instead of
+// recycled. Each of those defenses is exercised here, including the
+// failure directions.
 
 #include <cstdint>
 #include <thread>
@@ -190,31 +191,58 @@ TEST(ArenaScopeTest, EscapedRepKeepsArenaAliveAndBlocksReset) {
     ArenaScope scope(arena);
     SpecMap<int, int> m;
     m.set(1, 10);
-    escaped = m;  // shares the arena-backed rep beyond the scope
+    escaped = m;  // shares the arena-backed node beyond the scope
   }
   EXPECT_GT(arena->live(), 0u);
   EXPECT_FALSE(arena->Reset());  // refused, not use-after-reset
   EXPECT_EQ(escaped.at(1), 10);  // the escaped rep is fully usable
 
-  // A uniquely-owned escaped rep mutates in place and keeps drawing from
-  // the arena it was born under (the allocator captured shared ownership at
-  // detach time) — no dangling, no heap migration.
+  // A uniquely-owned escaped map mutates in place and keeps drawing from
+  // the arena its root was born in — no dangling, no heap migration.
   std::uint64_t live_before = arena->live();
   escaped.set(2, 20);
   EXPECT_EQ(escaped.at(2), 20);
   EXPECT_GT(arena->live(), live_before);
 
-  // A *shared* rep mutated outside any scope detaches onto the heap.
+  // A *shared* map mutated outside any scope path-copies onto the heap: the
+  // arena serves none of the new nodes, and the nodes off the path stay
+  // shared with `escaped`.
   SpecMap<int, int> shared_copy = escaped;
+  std::uint64_t allocs_before = arena->stats().allocs;
   shared_copy.set(3, 30);
+  EXPECT_EQ(arena->stats().allocs, allocs_before);
   EXPECT_EQ(shared_copy.at(3), 30);
   EXPECT_EQ(escaped.contains(3), false);
 
-  // Dropping the last arena-backed rep makes the arena recyclable again.
+  // Persistence: dropping `escaped` leaves the copy intact.
   escaped = SpecMap<int, int>{};
+  EXPECT_EQ(shared_copy, (SpecMap<int, int>{{1, 10}, {2, 20}, {3, 30}}));
+
+  // Dropping the last map that reaches an arena node makes the arena
+  // recyclable again.
+  shared_copy = SpecMap<int, int>{};
   EXPECT_EQ(arena->live(), 0u);
   EXPECT_TRUE(arena->Reset());
   EXPECT_EQ(arena.use_count(), 1);  // nothing co-owns the arena any more
+}
+
+TEST(ArenaScopeTest, NodesOutliveTheArenaObjectAndMayDieOnAnotherThread) {
+  SpecMap<int, int> m;
+  {
+    auto arena = std::make_shared<SpecArena>();
+    ArenaScope scope(arena);
+    for (int i = 0; i < 100; ++i) {
+      m.set(i, i);
+    }
+  }  // the SpecArena object is gone; m's nodes keep its chunks alive
+  EXPECT_EQ(m.at(42), 42);
+  std::thread other([m = std::move(m)]() mutable {
+    m.set(100, 100);  // beside a foreign arena's root: served by the heap
+    EXPECT_EQ(m.size(), 101u);
+    EXPECT_EQ(m.at(7), 7);
+    m = SpecMap<int, int>{};  // foreign frees release the last chunk owners
+  });
+  other.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 // checker: a long randomized syscall trace is checked simultaneously by the
 // incremental (delta-abstraction) checker and the full-rebuild checker, and
 // the two must agree on every verdict, on every Ψ, and on the step count.
-// Also: the audit must catch a forged (incomplete) dirty set, and the COW
-// SpecMap/SpecSet rep-sharing semantics the delta path depends on hold.
+// Also: the audit must catch a forged (incomplete) dirty set, and the
+// SpecMap/SpecSet sharing semantics the delta path depends on hold.
 
 #include <cstdint>
 #include <optional>
@@ -23,7 +23,8 @@ namespace atmo {
 namespace {
 
 // ---------------------------------------------------------------------------
-// COW rep-sharing semantics (the delta path's equality fast path)
+// Sharing semantics (the delta path's equality fast path): copies share
+// the root, real writes path-copy it, no-op writes leave it shared
 // ---------------------------------------------------------------------------
 
 TEST(CowSpecMapTest, CopySharesRepAndDetachesOnWrite) {
@@ -32,7 +33,7 @@ TEST(CowSpecMapTest, CopySharesRepAndDetachesOnWrite) {
   EXPECT_TRUE(a.SharesRepWith(b));
   EXPECT_TRUE(a == b);
 
-  b.set(3, 30);  // detach
+  b.set(3, 30);  // path-copies the root
   EXPECT_FALSE(a.SharesRepWith(b));
   EXPECT_FALSE(a.contains(3));
   EXPECT_EQ(b.at(3), 30);
@@ -42,9 +43,9 @@ TEST(CowSpecMapTest, CopySharesRepAndDetachesOnWrite) {
 TEST(CowSpecMapTest, NoOpEraseKeepsRepShared) {
   SpecMap<int, int> a{{1, 10}};
   SpecMap<int, int> b = a;
-  b.erase(99);  // not present: must not detach
+  b.erase(99);  // not present: must not copy
   EXPECT_TRUE(a.SharesRepWith(b));
-  b.erase(1);  // present: detaches
+  b.erase(1);  // present: path-copies
   EXPECT_FALSE(a.SharesRepWith(b));
   EXPECT_TRUE(a.contains(1));
   EXPECT_FALSE(b.contains(1));
@@ -55,11 +56,11 @@ TEST(CowSpecSetTest, NoOpMutationsKeepRepShared) {
   a.add(1);
   a.add(2);
   SpecSet<int> b = a;
-  b.erase(99);  // absent: no detach
+  b.erase(99);  // absent: no copy
   EXPECT_TRUE(a.SharesRepWith(b));
-  b.add(1);  // already present: no detach
+  b.add(1);  // already present: no copy
   EXPECT_TRUE(a.SharesRepWith(b));
-  b.add(3);  // real insert: detaches
+  b.add(3);  // real insert: path-copies
   EXPECT_FALSE(a.SharesRepWith(b));
   EXPECT_FALSE(a.contains(3));
 }

@@ -1,11 +1,19 @@
 // Unit tests for the vstd substrate: spec collections, linear permissions,
 // flat permission maps, and the internal-storage static list.
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/vstd/arena.h"
 #include "src/vstd/check.h"
 #include "src/vstd/permission_map.h"
 #include "src/vstd/points_to.h"
@@ -117,6 +125,365 @@ TEST(SpecSetTest, Quantifiers) {
   EXPECT_TRUE(s.ForAll([](int x) { return x % 2 == 0; }));
   EXPECT_TRUE(s.Exists([](int x) { return x == 4; }));
   EXPECT_FALSE(s.Exists([](int x) { return x == 5; }));
+}
+
+// ---------------------------------------------------------------------------
+// Persistent representation: differential and property tests
+// ---------------------------------------------------------------------------
+//
+// SpecMap and SpecSet share one persistent treap (persistent_tree.h). The
+// oracle is std::map / std::set: every public operation runs on both over
+// randomized op sequences, on a pool of versions that share nodes, and the
+// results must agree — including the set algebra, the frame-condition
+// helpers and the ordered iteration.
+
+class SplitMix {
+ public:
+  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t Next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  int Key() { return static_cast<int>(Next() % 201) - 100; }  // signed keys
+
+ private:
+  std::uint64_t state_;
+};
+
+using IntMap = SpecMap<int, int>;
+using IntSet = SpecSet<int>;
+using OracleMap = std::map<int, int>;
+using OracleSet = std::set<int>;
+
+std::vector<std::pair<int, int>> MapItems(const IntMap& m) {
+  std::vector<std::pair<int, int>> out;
+  for (const auto& [k, v] : m) {
+    out.emplace_back(k, v);
+  }
+  return out;
+}
+
+std::vector<std::pair<int, int>> MapItems(const OracleMap& m) {
+  return std::vector<std::pair<int, int>>(m.begin(), m.end());
+}
+
+std::vector<int> SetItems(const IntSet& s) { return std::vector<int>(s.begin(), s.end()); }
+std::vector<int> SetItems(const OracleSet& s) { return std::vector<int>(s.begin(), s.end()); }
+
+bool OracleAgreeExcept(const OracleMap& a, const OracleMap& b, const std::set<int>& except) {
+  for (int k = -100; k <= 100; ++k) {
+    if (except.count(k) != 0) {
+      continue;
+    }
+    auto ia = a.find(k);
+    auto ib = b.find(k);
+    if ((ia == a.end()) != (ib == b.end()) || (ia != a.end() && ia->second != ib->second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectSameMap(const IntMap& m, const OracleMap& o) {
+  ASSERT_EQ(m.size(), o.size());
+  ASSERT_EQ(m.empty(), o.empty());
+  ASSERT_EQ(MapItems(m), MapItems(o));
+}
+
+TEST(PersistentTreeTest, MapMatchesStdMapOracle) {
+  SplitMix rng(1);
+  std::vector<std::pair<IntMap, OracleMap>> versions(1);
+  for (int step = 0; step < 4000; ++step) {
+    auto& [m, o] = versions[rng.Next() % versions.size()];
+    int k = rng.Key();
+    int v = static_cast<int>(rng.Next() % 4);  // few values: equal writes happen
+    switch (rng.Next() % 6) {
+      case 0:
+        m.set(k, v);
+        o[k] = v;
+        break;
+      case 1:
+        m.erase(k);
+        o.erase(k);
+        break;
+      case 2: {  // functional update: a new version sharing nodes
+        OracleMap o2 = o;
+        o2[k] = v;
+        versions.emplace_back(m.insert(k, v), o2);
+        break;
+      }
+      case 3: {
+        OracleMap o2 = o;
+        o2.erase(k);
+        versions.emplace_back(m.remove(k), o2);
+        break;
+      }
+      default:
+        versions.emplace_back(m, o);  // plain copy
+        break;
+    }
+    if (versions.size() > 24) {
+      versions.erase(versions.begin() + static_cast<std::ptrdiff_t>(rng.Next() % 24));
+    }
+
+    // Queries against every version pair.
+    const auto& [a, oa] = versions[rng.Next() % versions.size()];
+    const auto& [b, ob] = versions[rng.Next() % versions.size()];
+    int q = rng.Key();
+    int q2 = rng.Key();
+    ASSERT_EQ(a.contains(q), oa.count(q) != 0) << "step " << step;
+    if (oa.count(q) != 0) {
+      ASSERT_EQ(a.at(q), oa.at(q));
+    }
+    ASSERT_EQ(a == b, oa == ob) << "step " << step;
+    bool submap = std::all_of(oa.begin(), oa.end(), [&](const auto& e) {
+      auto it = ob.find(e.first);
+      return it != ob.end() && it->second == e.second;
+    });
+    ASSERT_EQ(a.IsSubmapOf(b), submap) << "step " << step;
+    ASSERT_EQ(IntMap::AgreeExceptAt(a, b, q), OracleAgreeExcept(oa, ob, {q})) << "step " << step;
+    ASSERT_EQ(IntMap::AgreeExceptAt2(a, b, q, q2), OracleAgreeExcept(oa, ob, {q, q2}))
+        << "step " << step;
+    ASSERT_EQ(IntMap::AgreeExcept(a, b, [](int key) { return key % 3 == 0; }),
+              OracleAgreeExcept(oa, ob, [] {
+                std::set<int> mult3;
+                for (int key = -99; key <= 99; key += 3) {
+                  mult3.insert(key);
+                }
+                return mult3;
+              }()))
+        << "step " << step;
+    ASSERT_EQ(a.ForAll([&](int key, int val) { return key != q || val == 0; }),
+              oa.count(q) == 0 || oa.at(q) == 0);
+    ASSERT_EQ(a.Exists([&](int key, int) { return key == q; }), oa.count(q) != 0);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameMap(a, oa)) << "step " << step;
+  }
+  for (const auto& [m, o] : versions) {
+    ExpectSameMap(m, o);
+  }
+}
+
+TEST(PersistentTreeTest, SetMatchesStdSetOracle) {
+  SplitMix rng(2);
+  std::vector<std::pair<IntSet, OracleSet>> versions(1);
+  for (int step = 0; step < 4000; ++step) {
+    auto& [s, o] = versions[rng.Next() % versions.size()];
+    int k = rng.Key();
+    switch (rng.Next() % 5) {
+      case 0:
+        s.add(k);
+        o.insert(k);
+        break;
+      case 1:
+        s.erase(k);
+        o.erase(k);
+        break;
+      case 2: {
+        OracleSet o2 = o;
+        o2.insert(k);
+        versions.emplace_back(s.insert(k), o2);
+        break;
+      }
+      case 3: {
+        OracleSet o2 = o;
+        o2.erase(k);
+        versions.emplace_back(s.remove(k), o2);
+        break;
+      }
+      default:
+        versions.emplace_back(s, o);
+        break;
+    }
+    if (versions.size() > 24) {
+      versions.erase(versions.begin() + static_cast<std::ptrdiff_t>(rng.Next() % 24));
+    }
+
+    const auto& [a, oa] = versions[rng.Next() % versions.size()];
+    const auto& [b, ob] = versions[rng.Next() % versions.size()];
+    OracleSet u, i, d;
+    std::set_union(oa.begin(), oa.end(), ob.begin(), ob.end(), std::inserter(u, u.end()));
+    std::set_intersection(oa.begin(), oa.end(), ob.begin(), ob.end(),
+                          std::inserter(i, i.end()));
+    std::set_difference(oa.begin(), oa.end(), ob.begin(), ob.end(), std::inserter(d, d.end()));
+    ASSERT_EQ(SetItems(a.Union(b)), SetItems(u));
+    ASSERT_EQ(SetItems(a.Intersect(b)), SetItems(i));
+    ASSERT_EQ(SetItems(a.Difference(b)), SetItems(d));
+    ASSERT_EQ(a.Union(b).size(), u.size());
+    ASSERT_EQ(a.IsSubsetOf(b), std::includes(ob.begin(), ob.end(), oa.begin(), oa.end()))
+        << "step " << step;
+    ASSERT_EQ(a.IsDisjointFrom(b), i.empty()) << "step " << step;
+    ASSERT_EQ(a == b, oa == ob) << "step " << step;
+    int q = rng.Key();
+    ASSERT_EQ(a.contains(q), oa.count(q) != 0);
+    ASSERT_EQ(a.ForAll([&](int x) { return x != q; }), oa.count(q) == 0);
+    ASSERT_EQ(a.Exists([&](int x) { return x == q; }), oa.count(q) != 0);
+    ASSERT_EQ(a.size(), oa.size());
+    ASSERT_EQ(a.empty(), oa.empty());
+    ASSERT_EQ(SetItems(a), SetItems(oa));
+  }
+}
+
+TEST(PersistentTreeTest, SameContentsInAnyOrderAreEqualAndIterateIdentically) {
+  // History independence: the shape is a function of the key set, so maps
+  // built through different insert/erase histories compare equal by the
+  // shared-subtree walk and iterate in the same order.
+  SplitMix rng(3);
+  std::vector<int> keys;
+  for (int k = 0; k < 3000; ++k) {
+    keys.push_back(static_cast<int>(rng.Next() % 100000) - 50000);
+  }
+  IntMap reference;
+  IntSet reference_set;
+  for (int k : keys) {
+    reference.set(k, k * 7);
+    reference_set.add(k);
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<int> order = keys;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.Next() % i]);
+    }
+    IntMap m;
+    IntSet s;
+    for (int k : order) {
+      m.set(k + 1, 0);  // a detour: extra keys inserted and erased again
+      m.set(k, k * 7);
+      s.add(k);
+      s.add(k ^ 1);
+    }
+    for (int k : order) {
+      if (reference.contains(k + 1)) {
+        m.set(k + 1, (k + 1) * 7);
+      } else {
+        m.erase(k + 1);
+      }
+      if (!reference_set.contains(k ^ 1)) {
+        s.erase(k ^ 1);
+      }
+    }
+    EXPECT_EQ(m, reference) << "trial " << trial;
+    EXPECT_EQ(s, reference_set) << "trial " << trial;
+    EXPECT_TRUE(IntMap::AgreeExcept(m, reference, [](int) { return false; }));
+    EXPECT_EQ(MapItems(m), MapItems(reference));
+    EXPECT_EQ(SetItems(s), SetItems(reference_set));
+  }
+}
+
+TEST(PersistentTreeTest, MutatingACopyNeverChangesTheOriginal) {
+  SplitMix rng(4);
+  IntMap original;
+  IntSet original_set;
+  for (int i = 0; i < 500; ++i) {
+    original.set(rng.Key(), i);
+    original_set.add(rng.Key());
+  }
+  const std::vector<std::pair<int, int>> before = MapItems(original);
+  const std::vector<int> before_set = SetItems(original_set);
+  for (int round = 0; round < 50; ++round) {
+    IntMap copy = original;
+    IntSet copy_set = original_set;
+    EXPECT_TRUE(copy.SharesRepWith(original));
+    for (int i = 0; i < 20; ++i) {
+      copy.set(rng.Key(), -round);
+      copy.erase(rng.Key());
+      copy_set.add(rng.Key());
+      copy_set.erase(rng.Key());
+    }
+    IntMap rebuilt = copy.insert(1000, 1).remove(1000);
+    EXPECT_EQ(rebuilt, copy);
+  }
+  EXPECT_EQ(MapItems(original), before);
+  EXPECT_EQ(SetItems(original_set), before_set);
+}
+
+TEST(PersistentTreeTest, IteratorRecoversFromClippedStackOnDeepTrees) {
+  // Keys whose priorities fall as the keys fall form a left spine, one
+  // level per key: a longest decreasing run of keys in descending-priority
+  // order. Iteration over such a tree is deeper than the iterator's fixed
+  // ring and must re-find the dropped ancestors from the root.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; k < 20000; ++k) {
+    keys.push_back(k);
+  }
+  auto priority = [](std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  std::sort(keys.begin(), keys.end(),
+            [&](std::uint64_t a, std::uint64_t b) { return priority(a) > priority(b); });
+  // Longest strictly decreasing subsequence (patience sorting on -key).
+  std::vector<std::uint64_t> tails;
+  std::vector<int> tail_at;
+  std::vector<int> parent(keys.size(), -1);
+  for (int i = 0; i < static_cast<int>(keys.size()); ++i) {
+    auto pos = std::lower_bound(tails.begin(), tails.end(), keys[i],
+                                [](std::uint64_t t, std::uint64_t k) { return t > k; });
+    std::size_t at = static_cast<std::size_t>(pos - tails.begin());
+    parent[static_cast<std::size_t>(i)] = at == 0 ? -1 : tail_at[at - 1];
+    if (pos == tails.end()) {
+      tails.push_back(keys[static_cast<std::size_t>(i)]);
+      tail_at.push_back(i);
+    } else {
+      *pos = keys[static_cast<std::size_t>(i)];
+      tail_at[at] = i;
+    }
+  }
+  std::vector<std::uint64_t> spine;
+  for (int i = tail_at.back(); i >= 0; i = parent[static_cast<std::size_t>(i)]) {
+    spine.push_back(keys[static_cast<std::size_t>(i)]);
+  }
+  ASSERT_GT(spine.size(), 64u) << "need a spine deeper than the iterator ring";
+
+  // The spine alone is a left chain, one level per key.
+  SpecSet<std::uint64_t> s;
+  std::set<std::uint64_t> oracle;
+  for (std::uint64_t k : spine) {
+    s.add(k);
+    oracle.insert(k);
+  }
+  EXPECT_EQ(std::vector<std::uint64_t>(s.begin(), s.end()),
+            (std::vector<std::uint64_t>(oracle.begin(), oracle.end())));
+  // Ordinary keys around it, too.
+  for (std::uint64_t k = 0; k < 20000; k += 97) {
+    s.add(k);
+    oracle.insert(k);
+  }
+  EXPECT_EQ(std::vector<std::uint64_t>(s.begin(), s.end()),
+            (std::vector<std::uint64_t>(oracle.begin(), oracle.end())));
+}
+
+TEST(PersistentTreeTest, ArenaLiveReturnsToStartOnceEveryHandleIsGone) {
+  auto arena = std::make_shared<SpecArena>();
+  std::uint64_t start = arena->live();
+  {
+    IntMap built;
+    IntSet built_set;
+    {
+      ArenaScope scope(arena);
+      SplitMix rng(5);
+      for (int i = 0; i < 300; ++i) {
+        built.set(rng.Key(), i);
+        built_set.add(rng.Key());
+      }
+      IntMap copy = built;
+      copy.set(1000, 1);  // path copy inside the scope: arena nodes
+      EXPECT_GT(arena->live(), start);
+    }
+    // Copies mutated outside the scope path-copy onto the heap, still
+    // sharing arena nodes with the originals.
+    IntMap heap_copy = built.insert(2000, 2).remove(built.begin()->first);
+    IntSet heap_set = built_set.Union(IntSet{3000, 3001});
+    built = IntMap{};
+    built_set = IntSet{};
+    EXPECT_GT(arena->live(), start) << "heap copies still reach arena nodes";
+    EXPECT_TRUE(heap_copy.contains(2000));
+    EXPECT_TRUE(heap_set.contains(3001));
+  }
+  EXPECT_EQ(arena->live(), start);
+  EXPECT_TRUE(arena->Reset());
 }
 
 // ---------------------------------------------------------------------------
