@@ -16,6 +16,11 @@
 // sweep ci/perf_floors.json bounds: a checked step must cost O(|dirty| ·
 // log frames), not O(frames). Time per step is reported alongside, as
 // information only — a time ratio on a shared host moves with the noise.
+// Each size is run again with the audit on: the audit compares the cached
+// Ψ with concrete state without building a second one, so its allocations
+// per audit (the extra allocations of the audited run over the same steps,
+// divided by its audits) must not grow with the machine either; that
+// growth is gated too, and time per audit is information only.
 
 #include <cstdio>
 #include <cstdlib>
@@ -98,35 +103,66 @@ struct SweepRow {
   double steps_per_sec = 0.0;
   double allocs_per_checked_step = 0.0;  // heap + arena
   double abstraction_ns_per_step = 0.0;
+  double allocs_per_audit = 0.0;  // heap + arena
+  double audit_ns_per_audit = 0.0;
 };
 
-SweepRow RunFramesRow(std::uint64_t frames, std::uint64_t ops) {
+constexpr std::uint64_t kSweepAuditEvery = 16;
+
+// The measured steps' checker stats (heap + arena allocations in `allocs`).
+struct SweepRun {
+  CheckStats stats;
+  std::uint64_t allocs = 0;
+  double steps_per_sec = 0.0;
+};
+
+SweepRun RunFramesConfig(std::uint64_t frames, std::uint64_t ops, std::uint64_t audit_every) {
   Env env = Env::Build(frames);
   RefinementChecker checker(
-      &env.kernel, RefinementChecker::Options{.check_wf_every = 0, .audit_every = 0,
+      &env.kernel, RefinementChecker::Options{.check_wf_every = 0, .audit_every = audit_every,
                                               .incremental = true});
   RunWorkload(&checker, env.thrd, 1);
   CheckStats before = checker.stats();
   char name[64];
-  std::snprintf(name, sizeof(name), "incremental, %llu frames",
-                static_cast<unsigned long long>(frames));
+  std::snprintf(name, sizeof(name), "incremental, %llu frames%s",
+                static_cast<unsigned long long>(frames), audit_every != 0 ? ", audit" : "");
   Row row = RunTimed(name, ops,
                      [&](std::uint64_t n) { return RunWorkload(&checker, env.thrd, n); });
   PrintRow(row, "K");
   const CheckStats& after = checker.stats();
-  SweepRow out;
-  out.frames = frames;
-  out.steps = after.steps - before.steps;
+  SweepRun out;
+  out.stats.steps = after.steps - before.steps;
+  out.stats.abstraction_ns = after.abstraction_ns - before.abstraction_ns;
+  out.stats.audit_ns = after.audit_ns - before.audit_ns;
+  out.stats.audit_passes = after.audit_passes - before.audit_passes;
+  out.allocs = (after.heap_allocs - before.heap_allocs) +
+               (after.arena_allocs - before.arena_allocs);
   out.steps_per_sec = row.ops_per_sec;
-  double steps = static_cast<double>(out.steps);
-  out.allocs_per_checked_step =
-      static_cast<double>((after.heap_allocs - before.heap_allocs) +
-                          (after.arena_allocs - before.arena_allocs)) /
-      steps;
-  out.abstraction_ns_per_step =
-      static_cast<double>(after.abstraction_ns - before.abstraction_ns) / steps;
   return out;
 }
+
+SweepRow RunFramesRow(std::uint64_t frames, std::uint64_t ops) {
+  SweepRun plain = RunFramesConfig(frames, ops, /*audit_every=*/0);
+  SweepRun audited = RunFramesConfig(frames, ops, kSweepAuditEvery);
+  SweepRow out;
+  out.frames = frames;
+  out.steps = plain.stats.steps;
+  out.steps_per_sec = plain.steps_per_sec;
+  double steps = static_cast<double>(out.steps);
+  out.allocs_per_checked_step = static_cast<double>(plain.allocs) / steps;
+  out.abstraction_ns_per_step = static_cast<double>(plain.stats.abstraction_ns) / steps;
+  // Both runs take the same steps and the audit leaves the state as it
+  // found it, so the difference is exactly the audits' allocations.
+  double audits = static_cast<double>(audited.stats.audit_passes);
+  out.allocs_per_audit = static_cast<double>(audited.allocs - plain.allocs) / audits;
+  out.audit_ns_per_audit = static_cast<double>(audited.stats.audit_ns) / audits;
+  return out;
+}
+
+// Growth of a per-unit counter from the smallest to the largest machine.
+// A zero base (an allocation-free audit) counts as one, so the ratio stays
+// a number the JSON can carry.
+double Growth(double first, double last) { return first > 0.0 ? last / first : 1.0 + last; }
 
 void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_wf16,
               const std::vector<SweepRow>& sweep) {
@@ -166,6 +202,9 @@ void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_w
     w.KV("steps_per_sec", r.steps_per_sec, "%.1f");
     w.KV("allocs_per_checked_step", r.allocs_per_checked_step, "%.2f");
     w.KV("abstraction_ns_per_step", r.abstraction_ns_per_step, "%.1f");
+    w.KV("audit_every", kSweepAuditEvery);
+    w.KV("allocs_per_audit", r.allocs_per_audit, "%.2f");
+    w.KV("audit_ns_per_audit", r.audit_ns_per_audit, "%.1f");
     w.EndObject();
   }
   w.EndArray();
@@ -173,6 +212,10 @@ void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_w
        sweep.back().allocs_per_checked_step / sweep.front().allocs_per_checked_step, "%.3f");
   w.KV("frames_abstraction_time_growth",
        sweep.back().abstraction_ns_per_step / sweep.front().abstraction_ns_per_step, "%.3f");
+  w.KV("frames_audit_alloc_growth",
+       Growth(sweep.front().allocs_per_audit, sweep.back().allocs_per_audit), "%.3f");
+  w.KV("frames_audit_time_growth",
+       sweep.back().audit_ns_per_audit / sweep.front().audit_ns_per_audit, "%.3f");
   w.EndObject();
   std::printf("\nJSON: %s\n", w.str().c_str());
   if (obs::WriteTextFile("BENCH_incremental_refinement.json", w.str() + "\n")) {
@@ -217,21 +260,25 @@ int main() {
   double speedup_wf0 = results[1].steps_per_sec / results[0].steps_per_sec;
   double speedup_wf16 = results[3].steps_per_sec / results[2].steps_per_sec;
 
-  std::printf("\n=== Frames sweep: incremental, wf off, audit off ===\n");
+  std::printf("\n=== Frames sweep: incremental, wf off, audit off / every %llu ===\n",
+              static_cast<unsigned long long>(kSweepAuditEvery));
   PrintHeader("checked syscall mix (mmap/munmap/yield)", "K steps/s");
   std::vector<SweepRow> sweep;
   for (std::uint64_t frames : {16384ull, 65536ull, 262144ull}) {
     sweep.push_back(RunFramesRow(frames, inc_ops));
   }
   for (const SweepRow& r : sweep) {
-    std::printf("  %7llu frames: %7.1f allocs/checked step, %9.0f ns abstraction/step\n",
+    std::printf("  %7llu frames: %7.1f allocs/checked step, %9.0f ns abstraction/step, "
+                "%7.1f allocs/audit, %10.0f ns/audit\n",
                 static_cast<unsigned long long>(r.frames), r.allocs_per_checked_step,
-                r.abstraction_ns_per_step);
+                r.abstraction_ns_per_step, r.allocs_per_audit, r.audit_ns_per_audit);
   }
-  std::printf("  16K -> 256K growth: allocs %.2fx (gated in ci/perf_floors.json), "
-              "abstraction time %.2fx (info)\n",
+  std::printf("  16K -> 256K growth: allocs/step %.2fx and allocs/audit %.2fx (gated in "
+              "ci/perf_floors.json), abstraction time %.2fx and audit time %.2fx (info)\n",
               sweep.back().allocs_per_checked_step / sweep.front().allocs_per_checked_step,
-              sweep.back().abstraction_ns_per_step / sweep.front().abstraction_ns_per_step);
+              Growth(sweep.front().allocs_per_audit, sweep.back().allocs_per_audit),
+              sweep.back().abstraction_ns_per_step / sweep.front().abstraction_ns_per_step,
+              sweep.back().audit_ns_per_audit / sweep.front().audit_ns_per_audit);
   EmitJson(results, 5, speedup_wf0, speedup_wf16, sweep);
 
   bool ok_wf0 = speedup_wf0 >= 5.0;

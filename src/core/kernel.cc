@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "src/obs/flight_recorder.h"
@@ -1295,52 +1296,113 @@ void SetIfChanged(SpecMap<K, V>* m, const K& k, const V& v) {
   m->set(k, v);
 }
 
+// The abstraction function, one collection component of Ψ at a time: calls
+// component(name, &AbstractKernel::field, produce) in declaration order,
+// where `produce` streams the component's entries from concrete state in
+// ascending key order (src/vstd/persistent_tree.h), and stops at the first
+// false. Abstract() builds each component from its stream; the audit
+// compares each cached component with it. `marks` is the free-page
+// streams' scratch.
+template <typename Component>
+bool ForEachComponent(const Kernel& k, FrameBitmap* marks, Component component) {
+  const ProcessManager& pm = k.pm();
+  const PageAllocator& alloc = k.alloc();
+  const VmManager& vm = k.vm();
+  auto objects = [](const auto& perms, auto abstract) {
+    return [perms = &perms, abstract](auto emit) {
+      for (const auto& [ptr, perm] : *perms) {
+        if (!emit(ptr, abstract(perm.value()))) {
+          return false;
+        }
+      }
+      return true;
+    };
+  };
+  auto free_pages = [&alloc, marks](PageSize size) {
+    return [&alloc, marks, size](auto emit) { return alloc.ForEachFreePage(size, marks, emit); };
+  };
+  return component("containers", &AbstractKernel::containers,
+                   objects(pm.cntr_perms(), AbstractContainer)) &&
+         component("procs", &AbstractKernel::procs, objects(pm.proc_perms(), AbstractProcess)) &&
+         component("threads", &AbstractKernel::threads,
+                   objects(pm.thrd_perms(), AbstractThread)) &&
+         component("endpoints", &AbstractKernel::endpoints,
+                   objects(pm.edpt_perms(), AbstractEndpoint)) &&
+         component("address_spaces", &AbstractKernel::address_spaces,
+                   [&](auto emit) {
+                     for (const auto& [proc, perm] : pm.proc_perms()) {
+                       if (vm.HasAddressSpace(proc) && !emit(proc, vm.AddressSpaceOf(proc))) {
+                         return false;
+                       }
+                     }
+                     return true;
+                   }) &&
+         component("pages", &AbstractKernel::pages,
+                   [&](auto emit) {
+                     return alloc.ForEachInUsePage([&](PagePtr page, PageState state) {
+                       return emit(page, AbstractPage(alloc, vm, page, state));
+                     });
+                   }) &&
+         component("free_pages_4k", &AbstractKernel::free_pages_4k, free_pages(PageSize::k4K)) &&
+         component("free_pages_2m", &AbstractKernel::free_pages_2m, free_pages(PageSize::k2M)) &&
+         component("free_pages_1g", &AbstractKernel::free_pages_1g, free_pages(PageSize::k1G)) &&
+         component("iommu_domains", &AbstractKernel::iommu_domains,
+                   [&](auto emit) {
+                     for (const auto& [id, table] : k.iommu().domains()) {
+                       if (!emit(id, AbstractIommuDomain(k.iommu(), id, table))) {
+                         return false;
+                       }
+                     }
+                     return true;
+                   }) &&
+         component("rings", &AbstractKernel::rings, [&](auto emit) {
+           for (const auto& [id, ring] : k.rings().rings()) {
+             if (!emit(id, AbstractRing(ring))) {
+               return false;
+             }
+           }
+           return true;
+         });
+}
+
 }  // namespace
 
 AbstractKernel Kernel::Abstract() const {
   AbstractKernel a;
   a.root_container = pm_.root_container();
-
-  for (const auto& [c_ptr, perm] : pm_.cntr_perms()) {
-    a.containers.set(c_ptr, AbstractContainer(perm.value()));
-  }
-
-  for (const auto& [p_ptr, perm] : pm_.proc_perms()) {
-    a.procs.set(p_ptr, AbstractProcess(perm.value()));
-    if (vm_.HasAddressSpace(p_ptr)) {
-      a.address_spaces.set(p_ptr, vm_.AddressSpaceOf(p_ptr));
-    }
-  }
-
-  for (const auto& [t_ptr, perm] : pm_.thrd_perms()) {
-    a.threads.set(t_ptr, AbstractThread(perm.value()));
-  }
-
-  for (const auto& [e_ptr, perm] : pm_.edpt_perms()) {
-    a.endpoints.set(e_ptr, AbstractEndpoint(perm.value()));
-  }
-
-  for (PagePtr page : alloc_.AllocatedPages()) {
-    a.pages.set(page, AbstractPage(alloc_, vm_, page, PageState::kAllocated));
-  }
-  for (PagePtr page : alloc_.MappedPages()) {
-    a.pages.set(page, AbstractPage(alloc_, vm_, page, PageState::kMapped));
-  }
-  a.free_pages_4k = alloc_.FreePages(PageSize::k4K);
-  a.free_pages_2m = alloc_.FreePages(PageSize::k2M);
-  a.free_pages_1g = alloc_.FreePages(PageSize::k1G);
-
-  for (const auto& [id, table] : iommu_.domains()) {
-    a.iommu_domains.set(id, AbstractIommuDomain(iommu_, id, table));
-  }
-
-  for (const auto& [id, ring] : rings_.rings()) {
-    a.rings.set(id, AbstractRing(ring));
-  }
-
+  FrameBitmap marks;
+  ForEachComponent(*this, &marks, [&a](const char*, auto field, auto produce) {
+    using Collection = std::remove_reference_t<decltype(a.*field)>;
+    a.*field = Collection::FromSorted(produce);
+    return true;
+  });
   a.run_queue = RunQueueView(pm_);
   a.current = pm_.current();
   return a;
+}
+
+const char* Kernel::AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* marks) const {
+  if (psi.root_container != pm_.root_container()) {
+    return "root_container";
+  }
+  const char* mismatch = nullptr;
+  ForEachComponent(*this, marks, [&](const char* name, auto field, auto produce) {
+    if ((psi.*field).EqualsSorted(produce)) {
+      return true;
+    }
+    mismatch = name;
+    return false;
+  });
+  if (mismatch != nullptr) {
+    return mismatch;
+  }
+  if (!(psi.run_queue == RunQueueView(pm_))) {
+    return "run_queue";
+  }
+  if (psi.current != pm_.current()) {
+    return "current";
+  }
+  return nullptr;
 }
 
 DirtySet Kernel::DrainDirty() {
@@ -1475,31 +1537,39 @@ InvResult Kernel::MemorySafetyWf() const {
     return InvResult::Fail("subsystem page closures overlap");
   }
   // Leak freedom: the union of the closures is exactly the allocated set.
+  // Both set equalities read the allocator's side as a stream.
+  auto pages_in = [this](PageState state) {
+    return [this, state](auto emit) { return alloc_.ForEachPageIn(state, emit); };
+  };
   SpecSet<PagePtr> closures = pm_closure.Union(vm_closure).Union(io_closure);
-  if (!(closures == alloc_.AllocatedPages())) {
+  if (!closures.EqualsSorted(pages_in(PageState::kAllocated))) {
     return InvResult::Fail("page closures differ from the allocator's allocated set");
   }
   // Mapped frames are exactly the VM subsystem's held permissions.
-  if (!(vm_.HeldFrames() == alloc_.MappedPages())) {
+  if (!vm_.HeldFrames().EqualsSorted(pages_in(PageState::kMapped))) {
     return InvResult::Fail("held frame permissions differ from the mapped set");
   }
-  // Global map counts: CPU mappings + IOMMU mappings.
-  std::map<PagePtr, std::uint32_t> counts;
+  // Global map counts: CPU mappings + IOMMU mappings. A spec map, so that
+  // under the checker's ArenaScope the tally lives in its arena.
+  SpecMap<PagePtr, std::uint32_t> counts;
+  auto count_of = [&counts](PagePtr page) -> std::uint32_t {
+    return counts.contains(page) ? counts.at(page) : 0;
+  };
   for (const auto& [proc, table] : vm_.tables()) {
     for (const auto& [va, entry] : table.AddressSpace()) {
-      ++counts[entry.addr];
+      counts.set(entry.addr, count_of(entry.addr) + 1);
     }
   }
   for (const auto& [id, table] : iommu_.domains()) {
     for (const auto& [iova, entry] : table.AddressSpace()) {
-      ++counts[entry.addr];
+      counts.set(entry.addr, count_of(entry.addr) + 1);
     }
   }
-  for (PagePtr page : alloc_.MappedPages()) {
-    std::uint32_t expect = counts.count(page) ? counts[page] : 0;
-    if (alloc_.MapCount(page) != expect) {
-      return InvResult::Fail("map count disagrees with mapping tally");
-    }
+  bool tally_agrees = alloc_.ForEachPageIn(PageState::kMapped, [&](PagePtr page) {
+    return alloc_.MapCount(page) == count_of(page);
+  });
+  if (!tally_agrees) {
+    return InvResult::Fail("map count disagrees with mapping tally");
   }
   return InvResult{};
 }

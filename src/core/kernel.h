@@ -103,6 +103,12 @@ class Kernel {
   // --- Verification surface ---
   // Abstraction function: concrete state -> Ψ.
   AbstractKernel Abstract() const;
+  // The refinement audit: decides psi == Abstract() without building Ψ, by
+  // comparing each component of psi with the stream Abstract() builds it
+  // from (one ordered pass over both). Returns the name of the first
+  // component that differs, or nullptr when they are equal. `marks` is
+  // scratch, kept by the caller so repeated audits do not allocate.
+  const char* AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* marks) const;
   // Drains every subsystem's mutation log: the set of objects whose
   // abstract view may differ from the last drained snapshot.
   DirtySet DrainDirty();

@@ -271,7 +271,8 @@ bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
     }
   }
   // Held frame permissions are exactly the allocator's mapped pages.
-  if (!(HeldFrames() == alloc.MappedPages())) {
+  if (!HeldFrames().EqualsSorted(
+          [&alloc](auto emit) { return alloc.ForEachPageIn(PageState::kMapped, emit); })) {
     return false;
   }
   // No address space maps a frame that is not in the mapped state. Exact

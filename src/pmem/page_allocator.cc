@@ -474,32 +474,19 @@ void PageAllocator::SetOwner(PagePtr ptr, CtnrPtr owner) {
 std::uint64_t PageAllocator::FreeCount(PageSize size) const { return ListFor(size).count; }
 
 SpecSet<PagePtr> PageAllocator::FreePages(PageSize size) const {
-  SpecSet<PagePtr> out;
-  const FreeList& list = ListFor(size);
-  for (std::uint64_t cur = list.head; cur != kNilFrame; cur = meta_[cur].next) {
-    out.add(PtrOf(cur));
-  }
-  return out;
+  FrameBitmap marks;
+  return SpecSet<PagePtr>::FromSorted(
+      [&](auto emit) { return ForEachFreePage(size, &marks, emit); });
 }
 
 SpecSet<PagePtr> PageAllocator::AllocatedPages() const {
-  SpecSet<PagePtr> out;
-  for (std::uint64_t frame = 0; frame < meta_.size(); ++frame) {
-    if (meta_[frame].state == PageState::kAllocated) {
-      out.add(PtrOf(frame));
-    }
-  }
-  return out;
+  return SpecSet<PagePtr>::FromSorted(
+      [this](auto emit) { return ForEachPageIn(PageState::kAllocated, emit); });
 }
 
 SpecSet<PagePtr> PageAllocator::MappedPages() const {
-  SpecSet<PagePtr> out;
-  for (std::uint64_t frame = 0; frame < meta_.size(); ++frame) {
-    if (meta_[frame].state == PageState::kMapped) {
-      out.add(PtrOf(frame));
-    }
-  }
-  return out;
+  return SpecSet<PagePtr>::FromSorted(
+      [this](auto emit) { return ForEachPageIn(PageState::kMapped, emit); });
 }
 
 SpecSet<PagePtr> PageAllocator::InUseFrames() const {

@@ -25,6 +25,7 @@
 #ifndef ATMO_SRC_PMEM_PAGE_ALLOCATOR_H_
 #define ATMO_SRC_PMEM_PAGE_ALLOCATOR_H_
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "src/hw/phys_mem.h"
+#include "src/vstd/check.h"
 #include "src/vstd/dirty_set.h"
 #include "src/vstd/spec_set.h"
 #include "src/vstd/types.h"
@@ -47,6 +49,11 @@ enum class PageState : std::uint8_t {
 };
 
 const char* PageStateName(PageState state);
+
+// One bit per frame: the scratch the free-page streams mark a free list
+// into and read back in frame order. A stream that returns leaves it all
+// clear, so a caller that streams repeatedly keeps one and allocates once.
+using FrameBitmap = std::vector<std::uint64_t>;
 
 // Result of an allocation: the page's base address plus the linear frame
 // permission that authorizes access to its bytes.
@@ -133,6 +140,26 @@ class PageAllocator {
   SpecSet<PagePtr> MappedPages() const;     // unit bases, any size class
   // All 4 KiB frame base addresses covered by allocated+mapped+merged pages.
   SpecSet<PagePtr> InUseFrames() const;
+
+  // The O(frames) ghost views as ascending streams, their one definition:
+  // each calls emit(ptr) once per member in increasing order, stops as soon
+  // as emit returns false, and returns whether it ran to the end (the
+  // stream contract of src/vstd/persistent_tree.h). The views above are
+  // built from them; consumers that only compare or tally a view (the
+  // refinement audit, Wf) read the stream instead of building the view.
+  //
+  // Free pages of `size` are the members of that size class's free list
+  // (list membership, not the frames' recorded states): the list is marked
+  // into `marks` and read back in frame order. A cyclic list ends where it
+  // closes.
+  template <typename Emit>
+  bool ForEachFreePage(PageSize size, FrameBitmap* marks, Emit emit) const;
+  // Unit bases in `state` (kAllocated, kMapped, ...).
+  template <typename Emit>
+  bool ForEachPageIn(PageState state, Emit emit) const;
+  // Allocated and mapped unit bases in one pass: emit(ptr, state).
+  template <typename Emit>
+  bool ForEachInUsePage(Emit emit) const;
 
   // Structural invariant of the allocator itself: list links are mutually
   // consistent, states agree with list membership, merged tails point at a
@@ -228,6 +255,56 @@ class PageAllocator {
   std::vector<std::uint64_t> mergeable_1g_;  // min-heap of coalescible region indices
   DirtyLog dirty_;
 };
+
+template <typename Emit>
+bool PageAllocator::ForEachFreePage(PageSize size, FrameBitmap* marks, Emit emit) const {
+  const std::size_t words = (meta_.size() + 63) / 64;
+  if (marks->size() < words) {
+    marks->resize(words);
+  }
+  std::uint64_t* bits = marks->data();
+  std::uint64_t cur = ListFor(size).head;
+  for (; cur < meta_.size(); cur = meta_[cur].next) {
+    const std::uint64_t bit = std::uint64_t{1} << (cur % 64);
+    if ((bits[cur / 64] & bit) != 0) {
+      break;  // the list cycles back: the rest is already marked
+    }
+    bits[cur / 64] |= bit;
+  }
+  // Read back in frame order; every word is cleared, after an early stop too.
+  bool complete = true;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = std::exchange(bits[w], 0);
+    while (complete && word != 0) {
+      complete = emit(PtrOf(w * 64 + static_cast<std::uint64_t>(std::countr_zero(word))));
+      word &= word - 1;
+    }
+  }
+  ATMO_CHECK(cur == kNilFrame || cur < meta_.size(), "free list links outside the frame array");
+  return complete;
+}
+
+template <typename Emit>
+bool PageAllocator::ForEachPageIn(PageState state, Emit emit) const {
+  for (std::uint64_t frame = 0; frame < meta_.size(); ++frame) {
+    if (meta_[frame].state == state && !emit(PtrOf(frame))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Emit>
+bool PageAllocator::ForEachInUsePage(Emit emit) const {
+  for (std::uint64_t frame = 0; frame < meta_.size(); ++frame) {
+    const PageState state = meta_[frame].state;
+    if ((state == PageState::kAllocated || state == PageState::kMapped) &&
+        !emit(PtrOf(frame), state)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace atmo
 

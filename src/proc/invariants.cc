@@ -3,6 +3,8 @@
 #include <map>
 #include <sstream>
 
+#include "src/vstd/spec_map.h"
+
 namespace atmo {
 
 namespace {
@@ -339,14 +341,17 @@ InvResult SchedulerWf(const ProcessManager& pm) {
 InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc) {
   const PermissionMap<Container>& cntrs = pm.cntr_perms();
 
-  // Tally allocator attribution: 4K-frame counts per owner.
-  std::map<CtnrPtr, std::uint64_t> charged;
-  for (PagePtr page : alloc.AllocatedPages()) {
-    charged[alloc.OwnerOf(page)] += PageFrames4K(alloc.SizeClassOf(page));
-  }
-  for (PagePtr page : alloc.MappedPages()) {
-    charged[alloc.OwnerOf(page)] += PageFrames4K(alloc.SizeClassOf(page));
-  }
+  // Tally allocator attribution: 4K-frame counts per owner. A spec map, so
+  // that under the checker's ArenaScope the tally lives in its arena.
+  SpecMap<CtnrPtr, std::uint64_t> charged;
+  auto charged_to = [&charged](CtnrPtr owner) -> std::uint64_t {
+    return charged.contains(owner) ? charged.at(owner) : 0;
+  };
+  alloc.ForEachInUsePage([&](PagePtr page, PageState) {
+    const CtnrPtr owner = alloc.OwnerOf(page);
+    charged.set(owner, charged_to(owner) + PageFrames4K(alloc.SizeClassOf(page)));
+    return true;
+  });
 
   std::uint64_t total_quota = 0;
   for (const auto& [c_ptr, perm] : cntrs) {
@@ -354,7 +359,7 @@ InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc) {
     if (c.mem_used > c.mem_quota) {
       return InvResult::Fail("container " + Hex(c_ptr) + " exceeds its memory quota");
     }
-    std::uint64_t owned = charged.count(c_ptr) ? charged[c_ptr] : 0;
+    std::uint64_t owned = charged_to(c_ptr);
     if (owned != c.mem_used) {
       return InvResult::Fail("container " + Hex(c_ptr) + " mem_used (" +
                              std::to_string(c.mem_used) + ") != allocator attribution (" +

@@ -21,9 +21,6 @@ void ExportCheckStats(const CheckStats& stats, obs::MetricsRegistry* registry,
   registry->counter(prefix + "batched_entries").Add(stats.batched_entries);
   registry->counter(prefix + "heap_allocs").Add(stats.heap_allocs);
   registry->counter(prefix + "arena_allocs").Add(stats.arena_allocs);
-  registry->counter(prefix + "arena_resets").Add(stats.arena_resets);
-  registry->counter(prefix + "arena_refused_resets")
-      .Add(stats.arena_refused_resets);
   registry->gauge(prefix + "max_dirty_entries")
       .Set(static_cast<double>(stats.max_dirty_entries));
   if (stats.steps != 0) {

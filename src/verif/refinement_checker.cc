@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <string>
-#include <utility>
 
 #include "src/obs/alloc_hook.h"
 #include "src/obs/flight_recorder.h"
@@ -24,21 +23,13 @@ std::uint64_t NowNs() {
 
 }  // namespace
 
-void RefinementChecker::EnsureArenas() {
-  if (!options_.use_arena || arenas_[0] != nullptr) {
-    return;
-  }
-  arenas_[0] = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
-  arenas_[1] = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
-}
-
 void RefinementChecker::Capture() {
   // Drain in both modes: the logs are append-only and must not grow without
   // bound across a long full-rebuild run.
   DirtySet dirty = kernel_->DrainDirty();
-  // Nodes written while patching Ψ land in the checker's active arena (or
-  // the heap when use_arena is off — ArenaScope(nullptr) is the heap).
-  ArenaScope arena_scope(ActiveArenaRef());
+  // Nodes written while patching Ψ land in the checker's arena (or the
+  // heap when use_arena is off — ArenaScope(nullptr) is the heap).
+  ArenaScope arena_scope(arena_);
   std::uint64_t t0 = NowNs();
   if (options_.incremental && cached_ && !dirty.overflow) {
     std::uint64_t entries = dirty.TotalEntries();
@@ -61,23 +52,16 @@ AbstractKernel RefinementChecker::Snapshot() const {
   // O(1) per tree: the copy shares every node with cached_, and the next
   // capture path-copies only what it changes. SpecSeq copies land in the
   // arena with the rest of the capture.
-  ArenaScope arena_scope(ActiveArenaRef());
+  ArenaScope arena_scope(arena_);
   return *cached_;
 }
 
 SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
     ATMO_HOT_PATH(hot-path-alloc) {
-  EnsureArenas();
-  if (arena_reset_pending_) {
-    // Deferred from the last audit flip: the retired arena's last references
-    // were this checker's own pre/mid/post locals, which died when that
-    // Step returned — so the reset normally succeeds here. If a snapshot
-    // escaped (a test holding Ψ, say) the reset is refused and retried at
-    // the next flip; a refused reset only skips recycling, it is never
-    // unsafe (src/vstd/arena.h).
-    if (arenas_[1 - active_arena_]->Reset()) {
-      arena_reset_pending_ = false;
-    }
+  if (options_.use_arena && arena_ == nullptr) {
+    // Made on the stepping thread: a pool serves only its owner thread from
+    // its free lists (src/vstd/arena.h).
+    arena_ = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
   }
   obs::AllocProbe heap_probe;
   // Flight-recorder span for the whole checked syscall; the trailing 'E'
@@ -94,7 +78,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
     ATMO_OBS_SPAN(obs::kCatCheck, "check.spec");
     // Spec checks build transient expected-Ψ values (functional insert /
     // remove copies); those belong in the arena with the snapshots.
-    ArenaScope arena_scope(ActiveArenaRef());
+    ArenaScope arena_scope(arena_);
     return DispatchSpec(pre, mid, t);
   }();
   stats_.spec_ns += NowNs() - t0;
@@ -106,14 +90,14 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   t0 = NowNs();
   SpecResult spec = [&] {
     ATMO_OBS_SPAN(obs::kCatCheck, "check.spec");
-    ArenaScope arena_scope(ActiveArenaRef());
+    ArenaScope arena_scope(arena_);
     return SyscallSpec(mid, *cached_, t, call, ret);
   }();
   // The declarative frame-condition table (frame_profile.h) is checked in
   // the same pass: components outside the op's profile must be untouched.
   std::string frame = [&] {
     ATMO_OBS_SPAN(obs::kCatCheck, "check.frame");
-    ArenaScope arena_scope(ActiveArenaRef());
+    ArenaScope arena_scope(arena_);
     return FrameProfileViolation(mid, *cached_, FrameProfileFor(call.op));
   }();
   stats_.spec_ns += NowNs() - t0;
@@ -138,7 +122,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
       // subsystem (O(state) map/set temporaries, all dead by the time the
       // InvResult returns) — the largest per-step allocation source after
       // the snapshots themselves, so it belongs in the arena too.
-      ArenaScope arena_scope(ActiveArenaRef());
+      ArenaScope arena_scope(arena_);
       return kernel_->TotalWf();
     }();
     stats_.wf_ns += NowNs() - t0;
@@ -150,37 +134,24 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
       stats_.steps % options_.audit_every == 0) {
     t0 = NowNs();
     // No drain here: anything mutated since the post-capture belongs to the
-    // next step's delta. The audit recomputes Ψ of the state as the cache
-    // sees it and demands bit-for-bit agreement.
-    bool agree = [&] {
+    // next step's delta. The audit demands that the cache equal Abstract()
+    // of the state it describes, compared component by component against
+    // concrete state; no second Ψ is built.
+    const char* mismatch = [&] {
       ATMO_OBS_SPAN(obs::kCatCheck, "check.audit");
-      // The full rebuild happens in the PARTNER arena. On agreement the
-      // rebuilt Ψ replaces cached_, so nothing durable references the
-      // active arena any more; the roles flip and the old arena is reset
-      // at the start of the next Step (this step's snapshots still hold
-      // nodes in it). This is the audit-aligned recycle point of DESIGN.md §14.
-      const int partner = 1 - active_arena_;
-      ArenaScope arena_scope(arenas_[partner]);
-      AbstractKernel full = kernel_->Abstract();
-      bool equal = full == *cached_;
-      if (equal && arenas_[partner] != nullptr) {
-        cached_ = std::move(full);
-        active_arena_ = partner;
-        arena_reset_pending_ = true;
-      }
-      return equal;
+      // The O(objects) components' entry values are built to be compared.
+      ArenaScope arena_scope(arena_);
+      return kernel_->AbstractionMismatch(*cached_, &audit_marks_);
     }();
     stats_.audit_ns += NowNs() - t0;
     ++stats_.audit_passes;
-    ATMO_CHECK(agree, std::string("incremental-abstraction audit failed after ") +
-                          SysOpName(call.op) + ": cached Ψ diverged from Abstract()");
+    ATMO_CHECK(mismatch == nullptr,
+               std::string("incremental-abstraction audit failed after ") + SysOpName(call.op) +
+                   ": cached Ψ diverged from Abstract() in component " + mismatch);
   }
   stats_.heap_allocs += heap_probe.allocs();
-  if (arenas_[0] != nullptr) {
-    stats_.arena_allocs = arenas_[0]->stats().allocs + arenas_[1]->stats().allocs;
-    stats_.arena_resets = arenas_[0]->stats().resets + arenas_[1]->stats().resets;
-    stats_.arena_refused_resets =
-        arenas_[0]->stats().refused_resets + arenas_[1]->stats().refused_resets;
+  if (arena_ != nullptr) {
+    stats_.arena_allocs = arena_->stats().allocs;
   }
   sys_span.SetResult("error", SysErrorName(ret.error));
   return ret;

@@ -14,8 +14,9 @@
 // subsystems logged as dirty (Kernel::AbstractDelta), so the per-step cost
 // is O(|dirty| · log n) instead of O(machine). Soundness of the dirty logs
 // is defended in depth by a periodic audit: every `audit_every` steps the
-// checker recomputes a full Abstract() and requires it to equal the
-// incrementally maintained Ψ.
+// checker requires the incrementally maintained Ψ to equal Abstract(),
+// decided by comparing each cached component with the concrete state in
+// one ordered pass (Kernel::AbstractionMismatch), without rebuilding Ψ.
 //
 // A spec, invariant, or audit failure is routed through ATMO_CHECK — the
 // same channel as permission violations — so tests can assert that
@@ -52,12 +53,10 @@ struct CheckStats {
   std::uint64_t batched_entries = 0;     // inner syscalls covered by them
   // Allocation telemetry (DESIGN.md §14). heap_allocs is the number of
   // ::operator new calls observed inside Step() — the numerator of the
-  // allocations-per-checked-step number gated in CI. The arena_* counters
-  // mirror the per-checker SpecArena stats (0 when use_arena is off).
+  // allocations-per-checked-step number gated in CI. arena_allocs mirrors
+  // the checker's SpecArena stats (0 when use_arena is off).
   std::uint64_t heap_allocs = 0;
   std::uint64_t arena_allocs = 0;
-  std::uint64_t arena_resets = 0;
-  std::uint64_t arena_refused_resets = 0;
 };
 
 class RefinementChecker {
@@ -66,21 +65,21 @@ class RefinementChecker {
     // total_wf is O(state), so large trace runs may check it every N steps
     // (specs are still checked on every step). 1 = always, 0 = never.
     std::uint64_t check_wf_every = 1;
-    // Every N steps, recompute a full Abstract() and require it to equal
-    // the incrementally maintained Ψ (defence in depth against a missing
-    // dirty mark). 0 = never. Ignored in full-rebuild mode.
+    // Every N steps, require the incrementally maintained Ψ to equal
+    // Abstract() (defence in depth against a missing dirty mark). 0 =
+    // never. Ignored in full-rebuild mode.
     std::uint64_t audit_every = 16;
     // false: rebuild Ψ from scratch at every capture (the pre-optimization
     // behaviour, kept as the differential-testing oracle).
     bool incremental = true;
-    // Route the transient Ψ snapshots and spec-check temporaries through a
-    // pair of per-checker SpecArenas that ping/pong at audit boundaries
-    // (DESIGN.md §14). false = global heap, kept as the measurement
-    // baseline for the allocations-per-step gate.
+    // Route the cached Ψ's path copies and the spec-check temporaries
+    // through a per-checker SpecArena, which recycles released nodes
+    // through its free lists (DESIGN.md §14). false = global heap, kept as
+    // the measurement baseline for the allocations-per-step gate.
     bool use_arena = true;
-    // Bytes preallocated per arena at first Step (two arenas per checker).
-    // 0 = grow on demand. SweepHarness sets this so shards never touch the
-    // global heap for chunk growth on the hot path.
+    // Bytes preallocated for the arena at first Step. 0 = grow on demand.
+    // SweepHarness sets this so shards never touch the global heap for
+    // chunk growth on the hot path.
     std::size_t arena_reserve_bytes = 0;
   };
 
@@ -102,12 +101,8 @@ class RefinementChecker {
   Kernel* kernel() { return kernel_; }
 
   // Arena introspection for tests and benches. Null when use_arena is off
-  // or before the first Step. The active arena serves the current audit
-  // window's captures; the retired one is awaiting its deferred reset.
-  const SpecArena* active_arena() const { return arenas_[active_arena_].get(); }
-  const SpecArena* retired_arena() const {
-    return arenas_[1 - active_arena_].get();
-  }
+  // or before the first Step.
+  const SpecArena* arena() const { return arena_.get(); }
 
  private:
   // Drains the kernel's dirty logs and brings cached_ up to the current Ψ —
@@ -115,20 +110,16 @@ class RefinementChecker {
   void Capture();
   // A copy of cached_ that later captures leave untouched.
   AbstractKernel Snapshot() const;
-  void EnsureArenas();
-  // The arena new allocations should target right now (null = heap).
-  const std::shared_ptr<SpecArena>& ActiveArenaRef() const {
-    return arenas_[active_arena_];
-  }
 
   Kernel* kernel_;
   Options options_;
   CheckStats stats_;
   std::optional<AbstractKernel> cached_;
-  // Ping/pong arena pair (see Step for the flip-and-deferred-reset dance).
-  std::shared_ptr<SpecArena> arenas_[2];
-  int active_arena_ = 0;
-  bool arena_reset_pending_ = false;
+  // Where every node the checker writes goes (null = heap). It is never
+  // reset: nodes a step releases return to its free lists for the next.
+  std::shared_ptr<SpecArena> arena_;
+  // The audit's free-list scratch (Kernel::AbstractionMismatch).
+  FrameBitmap audit_marks_;
 };
 
 }  // namespace atmo

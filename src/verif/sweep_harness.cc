@@ -33,8 +33,6 @@ void MergeStats(CheckStats* into, const CheckStats& from) {
   into->batched_entries += from.batched_entries;
   into->heap_allocs += from.heap_allocs;
   into->arena_allocs += from.arena_allocs;
-  into->arena_resets += from.arena_resets;
-  into->arena_refused_resets += from.arena_refused_resets;
 }
 
 }  // namespace

@@ -24,9 +24,9 @@
 //  * Reset() rewinds the bump pointers and clears the free lists, but only
 //    when no allocation is live; a Reset refused because a snapshot
 //    escaped is a skipped recycle, never a use-after-reset. The
-//    RefinementChecker resets at audit boundaries, where the full
-//    re-abstraction has just rebuilt the cached Ψ in the partner arena and
-//    everything in the old arena is provably dead (DESIGN.md §14).
+//    RefinementChecker never resets its arena: its cached Ψ lives there
+//    for good, and the nodes each step releases come back through the
+//    free lists (DESIGN.md §14).
 //  * Arenas are single-threaded by construction (per-checker, per-shard).
 //    Blocks freed from a foreign thread are routed back to the heap-safe
 //    path: counted, not recycled.
@@ -261,7 +261,7 @@ class SpecArena::Pool {
     c.size = chunk_bytes_;
     c.base = static_cast<std::uint8_t*>(
         ::operator new(c.size, std::align_val_t{kHeaderAlign}));
-    // averif-lint: allow(hot-path-alloc) — one chunk per ~5K node blocks, and Reset reuses every chunk, so steady-state checking stops growing the list
+    // averif-lint: allow(hot-path-alloc) — one chunk per ~5K node blocks, and released blocks return through the free lists, so steady-state checking stops growing the list
     chunks_.push_back(c);
     stats_.chunk_bytes += c.size;
     ++stats_.chunks;

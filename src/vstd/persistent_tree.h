@@ -7,14 +7,22 @@
 //  * Copying a tree is O(1): the copy takes a reference on the root.
 //  * A write that reaches nodes other trees also hold path-copies them:
 //    O(log n) new nodes, everything off the path stays shared. A write
-//    along a path this tree owns alone updates the nodes in place, so bulk
-//    builds (Kernel::Abstract) cost what an ordinary balanced tree costs.
+//    along a path this tree owns alone updates the nodes in place, so a
+//    tree built by repeated Puts costs what an ordinary balanced tree costs.
 //  * The shape is canonical. A node's priority is a fixed bijective hash of
 //    its key, and a treap is the unique binary search tree that is also a
 //    max-heap on priority, so equal key sets give identical shapes whatever
 //    the order of inserts and removes. Two trees are therefore compared by
 //    walking them together and skipping every pointer-equal subtree:
 //    ForEachDifference costs O(|difference| · log n), not O(n).
+//  * A tree is also read against an ascending stream of entries, the form
+//    in which concrete state hands over a large abstract component: it can
+//    be built from one in O(n) (FromSorted, node-for-node the tree n Puts
+//    give) or compared with one in O(n) without allocating (EqualsSorted).
+//    A stream is a callable `produce(emit)` that calls emit(k) for a set,
+//    emit(k, v) for a map, once per entry in strictly increasing key order;
+//    it stops as soon as emit returns false and returns whether it ran to
+//    the end.
 //
 // Nodes come from the thread's current SpecArena (ArenaScope) and from the
 // heap otherwise. A write into a tree whose root this tree owns alone places
@@ -35,6 +43,7 @@
 #include <utility>
 
 #include "src/vstd/arena.h"
+#include "src/vstd/check.h"
 
 namespace atmo {
 
@@ -145,6 +154,43 @@ class PersistentTree {
            ForEachDifference(a, b, [](const Entry*, const Entry*) { return false; });
   }
 
+  // The tree of the entries `produce` emits, built in O(n): each key's
+  // priority is known in advance, so the treap is the Cartesian tree of the
+  // sequence, built left to right on its right spine. The result is
+  // node-for-node the tree n Puts give. The keys must be strictly
+  // increasing (ATMO_CHECK).
+  template <typename Produce>
+  static PersistentTree FromSorted(Produce produce) {
+    SpineBuilder spine;
+    produce([&spine](const K& k, const auto&... v) {
+      spine.Push(k, v...);
+      return true;
+    });
+    return spine.Finish();
+  }
+
+  // True when `produce` emits exactly this tree's entries. Walks the tree
+  // in key order alongside the stream and stops at the first difference:
+  // O(n), allocation-free.
+  template <typename Produce>
+  bool EqualsSorted(Produce produce) const {
+    Iterator it = begin();
+    const Iterator last = end();
+    bool equal = true;
+    produce([&](const K& k, const auto&... v) {
+      static_assert(sizeof...(v) == (std::is_void_v<V> ? 0 : 1));
+      equal = equal && it != last && KeyOf(*it) == k;
+      if constexpr (!std::is_void_v<V>) {
+        equal = equal && ((it->second == v) && ...);
+      }
+      if (equal) {
+        ++it;
+      }
+      return equal;
+    });
+    return equal && it == last;
+  }
+
   static const K& KeyOf(const Entry& e) {
     if constexpr (std::is_void_v<V>) {
       return e;
@@ -235,6 +281,8 @@ class PersistentTree {
   };
 
  private:
+  friend struct PersistentTreeTestPeer;  // reads the shape (tests/vstd_test.cc)
+
   // splitmix64's finalizer: a bijection on 64 bits, so distinct keys never
   // tie and the treap shape is a function of the key set alone.
   static std::uint64_t Priority(const K& k) {
@@ -344,6 +392,64 @@ class PersistentTree {
   }
 
   static Node* Adopt(Node* n, bool owned) { return owned ? n : Retain(n); }
+
+  // FromSorted's state: the right spine of the tree built so far. A spine
+  // node's right child is the spine node below it, so while on the spine
+  // its right field points up instead; the spine is a stack threaded
+  // through its own nodes, as deep as the tree needs. A build abandoned by
+  // an exception releases what it built.
+  class SpineBuilder {
+   public:
+    SpineBuilder() : place_(nullptr) {}
+    ~SpineBuilder() { Release(Unthread()); }
+    SpineBuilder(const SpineBuilder&) = delete;
+    SpineBuilder& operator=(const SpineBuilder&) = delete;
+
+    template <typename... Value>
+    void Push(const K& k, const Value&... v) {
+      static_assert(sizeof...(Value) == (std::is_void_v<V> ? 0 : 1));
+      ATMO_CHECK(bottom_ == nullptr || KeyOf(bottom_->entry) < k,
+                 "FromSorted: keys must be strictly increasing");
+      Node* n = NewNode(place_.pool(), nullptr, nullptr, k, v...);
+      // Spine nodes that k outranks become its left subtree.
+      const std::uint64_t prio = Priority(k);
+      Node* below = nullptr;
+      while (bottom_ != nullptr && PriorityOf(bottom_) < prio) {
+        Node* up = bottom_->right;
+        bottom_->right = below;
+        below = bottom_;
+        bottom_ = up;
+      }
+      n->left = below;
+      n->right = bottom_;
+      bottom_ = n;
+      ++size_;
+    }
+
+    PersistentTree Finish() {
+      PersistentTree out;
+      out.root_ = Unthread();
+      out.size_ = size_;
+      return out;
+    }
+
+   private:
+    // Points every spine node's right field back down; returns the root.
+    Node* Unthread() {
+      Node* below = nullptr;
+      while (bottom_ != nullptr) {
+        Node* up = bottom_->right;
+        bottom_->right = below;
+        below = bottom_;
+        bottom_ = up;
+      }
+      return below;
+    }
+
+    Placement place_;
+    Node* bottom_ = nullptr;  // the last key pushed
+    std::size_t size_ = 0;
+  };
 
   template <typename... Value>
   static Node* InsertAt(Node* t, bool owned, std::uint64_t prio, SpecArena::Pool* pool,

@@ -101,6 +101,21 @@ class SpecMap {
   // Extensional equality (`=~=`).
   friend bool operator==(const SpecMap& a, const SpecMap& b) { return a.tree_ == b.tree_; }
 
+  // An ascending stream of bindings (`produce(emit)` calls emit(k, v) per
+  // key in strictly increasing order; src/vstd/persistent_tree.h) read as a
+  // map: FromSorted builds it in O(n), EqualsSorted compares this map with
+  // it in O(n) without allocating.
+  template <typename Produce>
+  static SpecMap FromSorted(Produce produce) {
+    SpecMap out;
+    out.tree_ = Tree::FromSorted(std::move(produce));
+    return out;
+  }
+  template <typename Produce>
+  bool EqualsSorted(Produce produce) const {
+    return tree_.EqualsSorted(std::move(produce));
+  }
+
   // True if every binding of this map is also a binding of `other`.
   bool IsSubmapOf(const SpecMap& other) const {
     return size() <= other.size() &&

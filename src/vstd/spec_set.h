@@ -10,6 +10,7 @@
 #define ATMO_SRC_VSTD_SPEC_SET_H_
 
 #include <initializer_list>
+#include <utility>
 
 #include "src/vstd/persistent_tree.h"
 
@@ -147,6 +148,21 @@ class SpecSet {
   bool SharesRepWith(const SpecSet& other) const { return tree_.SharesRootWith(other.tree_); }
 
   friend bool operator==(const SpecSet& a, const SpecSet& b) { return a.tree_ == b.tree_; }
+
+  // An ascending stream of elements (`produce(emit)` calls emit(t) per
+  // element in strictly increasing order; src/vstd/persistent_tree.h) read
+  // as a set: FromSorted builds it in O(n), EqualsSorted compares this set
+  // with it in O(n) without allocating.
+  template <typename Produce>
+  static SpecSet FromSorted(Produce produce) {
+    SpecSet out;
+    out.tree_ = Tree::FromSorted(std::move(produce));
+    return out;
+  }
+  template <typename Produce>
+  bool EqualsSorted(Produce produce) const {
+    return tree_.EqualsSorted(std::move(produce));
+  }
 
   auto begin() const { return tree_.begin(); }
   auto end() const { return tree_.end(); }

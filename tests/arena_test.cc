@@ -1,5 +1,5 @@
 // Allocation-free hot paths (DESIGN.md §14): SpecArena stress tests, the
-// checker's ping/pong arena recycling, and the pooled-vs-fresh
+// checker arena's steady-state recycling, and the pooled-vs-fresh
 // CloneForVerification differential over randomized traces.
 //
 // The arena's safety argument is lifetime-based, not convention-based:
@@ -246,7 +246,7 @@ TEST(ArenaScopeTest, NodesOutliveTheArenaObjectAndMayDieOnAnotherThread) {
 }
 
 // ---------------------------------------------------------------------------
-// Checker arena recycling across audit boundaries
+// Checker arena recycling across audits
 // ---------------------------------------------------------------------------
 
 TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
@@ -264,12 +264,17 @@ TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
   }
 
   constexpr int kSteps = 3000;
+  constexpr int kSteadyStep = 1000;
+  std::uint64_t steady_reserved = 0;
   TraceGen gen;
   for (int i = 0; i < kSteps; ++i) {
     TraceGen::Cmd cmd = gen.Gen(arena_f);
     SyscallRet r_arena = arena_c.Step(arena_f.thrds[cmd.thread_idx], cmd.call);
     SyscallRet r_heap = heap_c.Step(heap_f.thrds[cmd.thread_idx], cmd.call);
     ASSERT_EQ(r_arena.error, r_heap.error) << "step " << i;
+    if (i + 1 == kSteadyStep) {
+      steady_reserved = arena_c.arena()->reserved();
+    }
     gen.Observe(cmd.call, r_arena);
     if (r_arena.error == SysError::kOk &&
         (cmd.call.op == SysOp::kSend || cmd.call.op == SysOp::kRecv)) {
@@ -286,10 +291,11 @@ TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
     }
   }
 
-  // The arenas actually carried the load and actually recycled: every audit
-  // agreement flips the ping/pong pair and resets the retired arena.
+  // The arena actually carried the load, and recycled it: it is never
+  // reset, so released nodes come back through its free lists, and the
+  // memory it holds is the same at step 3000 as at step 1000.
   EXPECT_GT(arena_c.stats().arena_allocs, 0u);
-  EXPECT_GT(arena_c.stats().arena_resets, 0u);
+  EXPECT_EQ(arena_c.arena()->reserved(), steady_reserved);
   EXPECT_EQ(heap_c.stats().arena_allocs, 0u);
   // Steady-state checking allocates >=10x less from the heap than the
   // heap-backed checker (the §14 claim, also gated in CI).

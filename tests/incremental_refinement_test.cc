@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -137,41 +139,106 @@ TEST(IncrementalRefinementTest, DifferentialSweepAgreesWithFullRebuild) {
 // ---------------------------------------------------------------------------
 // Audit failure injection: a forged dirty set IS caught
 // ---------------------------------------------------------------------------
+//
+// Each case mutates abstract-relevant state behind the checker's back. With
+// the dirty log discarded — a subsystem that forgot its dirty mark — the
+// next audit must fail and name the first component of Ψ that disagrees;
+// with the log intact, the next step's delta absorbs the change and the
+// audit passes. The allocator-wide cases reach the components the audit
+// compares as streams (pages and the free sets). The checked steps around
+// the mutation change no state (an munmap of an unmapped address by the
+// running thread), so only the audit can see it.
 
-TEST(IncrementalRefinementTest, AuditCatchesForgedDirtySet) {
-  Fixture f = Fixture::Boot();
-  RefinementChecker::Options opt{.check_wf_every = 0, .audit_every = 1, .incremental = true};
-  RefinementChecker checker(&f.kernel, opt);
+struct Injection {
+  const char* name;
+  const char* component;  // the first component of Ψ the mutation changes
+  void (*mutate)(Fixture* f);
+};
 
-  Syscall yield;
-  yield.op = SysOp::kYield;
-  checker.Step(f.thrds[0], yield);  // establish the cached Ψ; audit passes
-  ASSERT_EQ(checker.stats().audit_passes, 1u);
+// Names each case in test listings (ctest shows Unlogged/...Test.X/IpcBuffer).
+void PrintTo(const Injection& injection, std::ostream* os) { *os << injection.name; }
 
-  // Mutate abstract-relevant state behind the checker's back, then discard
-  // the dirty log — modelling a subsystem that forgot a dirty mark.
-  f.kernel.pm_mut().MutableThread(f.thrds[1]).ipc_buf.scalars[0] ^= 1;
-  f.kernel.DrainDirty();
+class AuditInjectionTest : public ::testing::TestWithParam<Injection> {
+ protected:
+  static constexpr VAddr kUnmappedVa = 0x70000000;  // outside every mapped window
+
+  // The first audited step: the cached Ψ is established and agrees.
+  void EstablishCache() {
+    f_.SetupIpcAndDma();
+    Step();
+    EXPECT_EQ(checker_.stats().audit_passes, 1u);
+  }
+  void Step() {
+    Syscall munmap;
+    munmap.op = SysOp::kMunmap;
+    munmap.va_range = VaRange{kUnmappedVa, 1, PageSize::k4K};
+    EXPECT_EQ(checker_.Step(f_.thrds[0], munmap).error, SysError::kInvalid);
+  }
+
+  Fixture f_ = Fixture::Boot();
+  RefinementChecker checker_{
+      &f_.kernel,
+      RefinementChecker::Options{.check_wf_every = 0, .audit_every = 1, .incremental = true}};
+};
+
+TEST_P(AuditInjectionTest, CatchesForgedDirtySet) {
+  EstablishCache();
+  GetParam().mutate(&f_);
+  f_.kernel.DrainDirty();  // the forged (empty) dirty set
 
   ScopedThrowOnCheckFailure guard;
-  EXPECT_THROW(checker.Step(f.thrds[0], yield), CheckViolation);
+  try {
+    Step();
+    ADD_FAILURE() << "the audit missed an unlogged mutation";
+  } catch (const CheckViolation& violation) {
+    EXPECT_NE(violation.event().message.find(std::string("in component ") +
+                                             GetParam().component),
+              std::string::npos)
+        << violation.event().message;
+  }
 }
 
-TEST(IncrementalRefinementTest, AuditPassesWhenDirtySetIsHonest) {
-  Fixture f = Fixture::Boot();
-  RefinementChecker::Options opt{.check_wf_every = 0, .audit_every = 1, .incremental = true};
-  RefinementChecker checker(&f.kernel, opt);
-
-  Syscall yield;
-  yield.op = SysOp::kYield;
-  checker.Step(f.thrds[0], yield);
-
-  // Same external mutation, but the dirty log is left intact: the next
-  // step's delta absorbs it and the audit agrees.
-  f.kernel.pm_mut().MutableThread(f.thrds[1]).ipc_buf.scalars[0] ^= 1;
-  checker.Step(f.thrds[0], yield);
-  EXPECT_EQ(checker.stats().audit_passes, 2u);
+TEST_P(AuditInjectionTest, PassesWhenDirtySetIsHonest) {
+  EstablishCache();
+  GetParam().mutate(&f_);
+  Step();
+  EXPECT_EQ(checker_.stats().audit_passes, 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Unlogged, AuditInjectionTest,
+    ::testing::Values(
+        Injection{"IpcBuffer", "threads",
+                  [](Fixture* f) {
+                    f->kernel.pm_mut().MutableThread(f->thrds[1]).ipc_buf.scalars[0] ^= 1;
+                  }},
+        // A page leaves the 4K free list and becomes an allocated page.
+        Injection{"AllocPage4K", "pages",
+                  [](Fixture* f) {
+                    ASSERT_TRUE(f->kernel.alloc_mut().AllocPage4K(f->ctnr).has_value());
+                  }},
+        // An in-use page (thread 1's object page) changes owner.
+        Injection{"SetOwner", "pages",
+                  [](Fixture* f) {
+                    f->kernel.alloc_mut().SetOwner(f->thrds[1], f->kernel.root_container());
+                  }},
+        // A mapped page (a DMA donor) gains a mapping reference.
+        Injection{"IncMapCount", "pages",
+                  [](Fixture* f) {
+                    PagePtr page = *f->kernel.alloc().MappedPages().begin();
+                    f->kernel.alloc_mut().IncMapCount(page);
+                  }},
+        // 512 free 4K frames merge into one free 2M unit: only the free
+        // sets change.
+        Injection{"TryMerge2M", "free_pages_4k",
+                  [](Fixture* f) {
+                    bool merged = false;
+                    for (PagePtr base = kPageSize2M; !merged && base < 2048 * kPageSize4K;
+                         base += kPageSize2M) {
+                      merged = f->kernel.alloc_mut().TryMerge2M(base);
+                    }
+                    ASSERT_TRUE(merged);
+                  }}));
 
 // ---------------------------------------------------------------------------
 // Regression: SysIommuUnmapDma error paths (unguarded iterator fix)

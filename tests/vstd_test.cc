@@ -24,6 +24,26 @@
 #include "src/vstd/types.h"
 
 namespace atmo {
+
+// White-box access to a tree's shape, for the FromSorted differential.
+struct PersistentTreeTestPeer {
+  // The entries in pre-order: with the in-order fixed by the keys, this
+  // pins the shape node for node.
+  template <typename Tree>
+  static std::vector<typename Tree::Entry> PreOrder(const Tree& t) {
+    std::vector<typename Tree::Entry> out;
+    auto walk = [&out](auto& self, const auto* n) -> void {
+      if (n != nullptr) {
+        out.push_back(n->entry);
+        self(self, n->left);
+        self(self, n->right);
+      }
+    };
+    walk(walk, t.root_);
+    return out;
+  }
+};
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -484,6 +504,218 @@ TEST(PersistentTreeTest, ArenaLiveReturnsToStartOnceEveryHandleIsGone) {
   }
   EXPECT_EQ(arena->live(), start);
   EXPECT_TRUE(arena->Reset());
+}
+
+// ---------------------------------------------------------------------------
+// Ascending streams: FromSorted and EqualsSorted against Put and ==
+// ---------------------------------------------------------------------------
+
+// An ascending stream over sorted items (the producer contract of
+// persistent_tree.h): emit(k) for a set, emit(k, v) for a map.
+auto SetStream(const std::vector<int>& keys) {
+  return [&keys](auto emit) {
+    for (int k : keys) {
+      if (!emit(k)) {
+        return false;
+      }
+    }
+    return true;
+  };
+}
+
+auto MapStream(const std::vector<std::pair<int, int>>& items) {
+  return [&items](auto emit) {
+    for (const auto& [k, v] : items) {
+      if (!emit(k, v)) {
+        return false;
+      }
+    }
+    return true;
+  };
+}
+
+// Random sorted key sets: empty, one key, and sizes up to a few thousand.
+std::vector<std::vector<int>> RandomKeySets(SplitMix* rng) {
+  std::vector<std::vector<int>> out = {{}, {0}, {-7}, {3, 4}};
+  for (std::size_t size : {2u, 3u, 17u, 100u, 1000u, 4000u}) {
+    std::set<int> keys;
+    while (keys.size() < size) {
+      keys.insert(static_cast<int>(rng->Next() % 20000) - 10000);
+    }
+    out.emplace_back(keys.begin(), keys.end());
+  }
+  return out;
+}
+
+TEST(PersistentTreeTest, FromSortedIsThePutTreeNodeForNode) {
+  using SetTree = PersistentTree<int>;
+  using MapTree = PersistentTree<int, int>;
+  SplitMix rng(6);
+  for (const std::vector<int>& keys : RandomKeySets(&rng)) {
+    std::vector<std::pair<int, int>> items;
+    for (int k : keys) {
+      items.emplace_back(k, static_cast<int>(rng.Next() % 1000));
+    }
+    // The Put-built twins insert in a shuffled order.
+    std::vector<std::size_t> order(keys.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = i;
+    }
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.Next() % i]);
+    }
+    SetTree put_set;
+    MapTree put_map;
+    for (std::size_t i : order) {
+      put_set.Put(keys[i]);
+      put_map.Put(items[i].first, items[i].second);
+    }
+
+    SetTree built_set = SetTree::FromSorted(SetStream(keys));
+    MapTree built_map = MapTree::FromSorted(MapStream(items));
+    EXPECT_EQ(built_set.size(), keys.size());
+    EXPECT_EQ(built_map.size(), keys.size());
+    EXPECT_TRUE(built_set == put_set) << keys.size() << " keys";
+    EXPECT_TRUE(built_map == put_map) << keys.size() << " keys";
+    EXPECT_EQ(std::vector<int>(built_set.begin(), built_set.end()), keys);
+    EXPECT_EQ(MapItems(SpecMap<int, int>::FromSorted(MapStream(items))), items);
+    EXPECT_EQ(PersistentTreeTestPeer::PreOrder(built_set),
+              PersistentTreeTestPeer::PreOrder(put_set))
+        << keys.size() << " keys";
+    EXPECT_EQ(PersistentTreeTestPeer::PreOrder(built_map),
+              PersistentTreeTestPeer::PreOrder(put_map))
+        << keys.size() << " keys";
+    // A built tree is an ordinary tree: later writes behave as on the twin.
+    if (!keys.empty()) {
+      built_set.Erase(keys[keys.size() / 2]);
+      put_set.Erase(keys[keys.size() / 2]);
+      built_map.Put(keys.front(), -1);
+      put_map.Put(keys.front(), -1);
+      EXPECT_EQ(PersistentTreeTestPeer::PreOrder(built_set),
+                PersistentTreeTestPeer::PreOrder(put_set));
+      EXPECT_TRUE(built_map == put_map);
+    }
+  }
+}
+
+TEST(PersistentTreeTest, EqualsSortedAgreesWithEquality) {
+  SplitMix rng(7);
+  auto check_set = [](const IntSet& a, const std::vector<int>& b) {
+    IntSet b_set;
+    for (int k : b) {
+      b_set.add(k);
+    }
+    EXPECT_EQ(a.EqualsSorted(SetStream(b)), a == b_set)
+        << a.size() << " vs " << b.size() << " keys";
+  };
+  auto check_map = [](const IntMap& a, const std::vector<std::pair<int, int>>& b) {
+    IntMap b_map;
+    for (const auto& [k, v] : b) {
+      b_map.set(k, v);
+    }
+    EXPECT_EQ(a.EqualsSorted(MapStream(b)), a == b_map)
+        << a.size() << " vs " << b.size() << " keys";
+  };
+  for (const std::vector<int>& keys : RandomKeySets(&rng)) {
+    std::vector<std::pair<int, int>> items;
+    for (int k : keys) {
+      items.emplace_back(k, k * 3);
+    }
+    const IntSet set = IntSet::FromSorted(SetStream(keys));
+    const IntMap map = IntMap::FromSorted(MapStream(items));
+    check_set(set, keys);
+    check_map(map, items);
+
+    // A missing or an extra key at either end, and in the middle.
+    std::vector<std::vector<int>> set_variants;
+    set_variants.push_back(keys);
+    set_variants.back().insert(set_variants.back().begin(), -20000);  // extra first
+    set_variants.push_back(keys);
+    set_variants.back().push_back(20000);  // extra last
+    if (!keys.empty()) {
+      set_variants.emplace_back(keys.begin() + 1, keys.end());  // missing first
+      set_variants.emplace_back(keys.begin(), keys.end() - 1);  // missing last
+      set_variants.push_back(keys);
+      set_variants.back().erase(set_variants.back().begin() +
+                                static_cast<std::ptrdiff_t>(keys.size() / 2));
+    }
+    for (const std::vector<int>& variant : set_variants) {
+      check_set(set, variant);
+      check_set(IntSet::FromSorted(SetStream(variant)), keys);
+    }
+    for (const std::vector<int>& variant : set_variants) {
+      std::vector<std::pair<int, int>> variant_items;
+      for (int k : variant) {
+        variant_items.emplace_back(k, k * 3);
+      }
+      check_map(map, variant_items);
+    }
+    // Maps that differ in a value only: first, middle and last key.
+    if (!items.empty()) {
+      for (std::size_t at : {std::size_t{0}, items.size() / 2, items.size() - 1}) {
+        std::vector<std::pair<int, int>> changed = items;
+        changed[at].second += 1;
+        check_map(map, changed);
+        check_map(IntMap::FromSorted(MapStream(changed)), items);
+      }
+    }
+  }
+  // Random pairs over a small universe, where equal pairs are common.
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<int> a;
+    std::vector<int> b;
+    for (int k = 0; k < 6; ++k) {
+      if (rng.Next() % 2 == 0) {
+        a.push_back(k);
+      }
+      if (rng.Next() % 2 == 0) {
+        b.push_back(k);
+      }
+    }
+    check_set(IntSet::FromSorted(SetStream(a)), b);
+  }
+}
+
+TEST(PersistentTreeTest, EqualsSortedStopsTheStreamAtTheFirstDifference) {
+  std::vector<int> keys;
+  for (int k = 0; k < 1000; ++k) {
+    keys.push_back(k);
+  }
+  const IntSet set = IntSet::FromSorted(SetStream(keys));
+  keys[10] = 10000;  // out of order on purpose: differs from the set at the 11th key
+  int emitted = 0;
+  bool ran_to_end = true;
+  EXPECT_FALSE(set.EqualsSorted([&](auto emit) {
+    for (int k : keys) {
+      ++emitted;
+      if (!emit(k)) {
+        ran_to_end = false;
+        return false;
+      }
+    }
+    return true;
+  }));
+  EXPECT_FALSE(ran_to_end);
+  EXPECT_EQ(emitted, 11);
+}
+
+TEST(PersistentTreeTest, FromSortedRejectsKeysThatDoNotIncrease) {
+  auto arena = std::make_shared<SpecArena>();
+  ScopedThrowOnCheckFailure guard;
+  ArenaScope scope(arena);
+  const std::uint64_t start = arena->live();
+  for (const std::vector<int>& keys :
+       {std::vector<int>{1, 1}, std::vector<int>{5, 2}, std::vector<int>{1, 2, 3, 3, 4},
+        std::vector<int>{-3, 0, 8, 7, 9}}) {
+    EXPECT_THROW(IntSet::FromSorted(SetStream(keys)), CheckViolation);
+    std::vector<std::pair<int, int>> items;
+    for (int k : keys) {
+      items.emplace_back(k, 0);
+    }
+    EXPECT_THROW(IntMap::FromSorted(MapStream(items)), CheckViolation);
+    // The abandoned build released every node it had made.
+    EXPECT_EQ(arena->live(), start);
+  }
 }
 
 // ---------------------------------------------------------------------------
