@@ -14,12 +14,15 @@
 // The >=5x amortization gate runs on the syscall-only microbench
 // (CheckedSyscallRate): identical rotating mmap/munmap trace, identical
 // checker options, per-call vs batch-256 — so the comparison is pure
-// checking overhead, not diluted by app/driver work. In full mode the gate
-// is enforced via the exit code; quick mode (CI) reports the numbers and
-// ci/run_tests.sh enforces absolute floors from ci/perf_floors.json.
+// checking overhead, not diluted by app/driver work. The gated ratio is the
+// median over alternating per-call/batched rep pairs of fixed duration. In
+// full mode the gate is enforced via the exit code; quick mode (CI) reports
+// the numbers and ci/run_tests.sh enforces the floors in
+// ci/perf_floors.json, this ratio's among them.
 
 #include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 #include "bench/end_to_end.h"
 #include "src/obs/alloc_hook.h"
@@ -118,13 +121,31 @@ int main() {
   double obs_overhead_pct =
       untraced_best > 0 ? (1.0 - traced_best / untraced_best) * 100.0 : 0.0;
 
-  // Syscall-only amortization microbench: the >=5x gate's numbers.
-  std::uint64_t micro_ops = ScaledOps(400000);
+  // Syscall-only amortization microbench: the >=5x gate's numbers. One
+  // ratio of two short timed runs moves with host noise by as much as the
+  // gate's margin, so per-call and batched reps of equal fixed duration
+  // alternate — drift and co-tenant load hit both halves of a pair alike —
+  // and the gate reads the median of the per-pair ratios.
+  constexpr int kSpeedupPairs = 5;
+  const double rep_seconds = quick ? 0.2 : 1.0;
+  std::vector<double> percall_rates;
+  std::vector<double> batched_rates;
+  std::vector<double> pair_ratios;
   atmo::CheckStats batched_stats;
-  atmo::CheckStats percall_stats;
-  double percall_rate = CheckedSyscallRate(micro_ops / 4, 0, &percall_stats);
-  double batched_rate = CheckedSyscallRate(micro_ops, 256, &batched_stats);
-  double speedup = percall_rate > 0 ? batched_rate / percall_rate : 0.0;
+  for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+    double percall = CheckedSyscallRate(256, 0, nullptr, true, rep_seconds);
+    double batched = CheckedSyscallRate(8 * 256, 256, &batched_stats, true, rep_seconds);
+    percall_rates.push_back(percall);
+    batched_rates.push_back(batched);
+    pair_ratios.push_back(percall > 0 ? batched / percall : 0.0);
+  }
+  auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  double percall_rate = median(percall_rates);
+  double batched_rate = median(batched_rates);
+  double speedup = median(pair_ratios);
   bool gate_pass = speedup >= 5.0;
 
   // Allocation gate (DESIGN.md §14): heap allocations per checked step of
@@ -134,7 +155,11 @@ int main() {
   // syscalls, so the concrete kernel's own allocations dominate. The same
   // trace with the spec arenas off is reported beside it (rate, heap
   // allocations, ratio) as information: what the arenas save on checked
-  // steps that path-copy O(|dirty| · log n) nodes.
+  // steps that path-copy O(|dirty| · log n) nodes. Both runs certify a
+  // fixed number of syscalls, so the counts do not depend on host speed.
+  std::uint64_t micro_ops = ScaledOps(400000);
+  atmo::CheckStats percall_stats;
+  CheckedSyscallRate(micro_ops / 4, 0, &percall_stats);
   atmo::CheckStats noarena_stats;
   double noarena_rate =
       CheckedSyscallRate(micro_ops / 4, 0, &noarena_stats, /*use_arena=*/false);
@@ -152,8 +177,12 @@ int main() {
   std::printf("  per-call     : %12.0f checked syscalls/s\n", percall_rate);
   std::printf("  batched-b256 : %12.0f checked syscalls/s (%llu drains)\n", batched_rate,
               static_cast<unsigned long long>(batched_stats.batch_drains));
-  std::printf("  amortization : %.2fx %s (gate: >=5x)\n", speedup,
-              gate_pass ? "PASS" : "FAIL");
+  std::printf("  amortization : %.2fx %s (gate: >=5x; median of %d pairs:", speedup,
+              gate_pass ? "PASS" : "FAIL", kSpeedupPairs);
+  for (double ratio : pair_ratios) {
+    std::printf(" %.2f", ratio);
+  }
+  std::printf(")\n");
   std::printf("  heap allocs / checked step: %.1f with arenas (+ %.1f arena-served), "
               "%.1f without (%.1fx)\n",
               arena_allocs_per_step, arena_served_per_step, noarena_allocs_per_step,
@@ -222,6 +251,12 @@ int main() {
     w->KV("percall_checked_syscalls_per_sec", percall_rate, "%.1f");
     w->KV("batched_checked_syscalls_per_sec", batched_rate, "%.1f");
     w->KV("batched_vs_percall_speedup", speedup, "%.3f");
+    w->Key("batched_vs_percall_pair_ratios").BeginArray();
+    for (double ratio : pair_ratios) {
+      w->Double(ratio, "%.3f");
+    }
+    w->EndArray();
+    w->KV("speedup_rep_seconds", rep_seconds, "%.2f");
     w->KV("speedup_gate_pass", gate_pass);
     w->KV("alloc_counting_active", alloc_counting);
     w->KV("heap_allocs_per_checked_step", arena_allocs_per_step, "%.2f");
@@ -253,8 +288,8 @@ int main() {
     std::fprintf(stderr, "end_to_end: splice path copied payload bytes\n");
     return 1;
   }
-  // The amortization gate is meaningful at full scale; quick mode is too
-  // noisy for a ratio gate (run_tests.sh enforces absolute floors instead).
+  // Full mode enforces the amortization gate here; in quick mode
+  // run_tests.sh gates the same median against ci/perf_floors.json.
   if (!quick && !gate_pass) {
     std::fprintf(stderr, "end_to_end: batched amortization below the 5x gate\n");
     return 1;

@@ -15,10 +15,6 @@
 #include <string>
 #include <thread>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "bench/pipeline.h"
 #include "src/obs/exporters.h"
 #include "src/obs/flight_recorder.h"
@@ -47,26 +43,6 @@ void AppendConfigJson(obs::JsonWriter* w, const Config& c) {
   w->KV("coverage_cells", c.report.coverage.NonZeroCells());
   w->KV("all_ok", c.report.AllOk());
   w->EndObject();
-}
-
-// CPUs actually available to this process — the affinity mask, not
-// hardware_concurrency(), which reports the machine's core count even when
-// a container/cgroup pins the process to a subset. The scaling threshold
-// and the JSON's `host_cpus` field both use this, so a reader comparing
-// BENCH_parallel_sweep.json files across hosts can tell a degenerate
-// 1-CPU curve from a real regression.
-unsigned HostCpus() {
-#ifdef __linux__
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    int n = CPU_COUNT(&set);
-    if (n > 0) {
-      return static_cast<unsigned>(n);
-    }
-  }
-#endif
-  unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? hc : 1;
 }
 
 }  // namespace

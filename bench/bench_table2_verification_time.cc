@@ -15,10 +15,10 @@
 // Mimalloc 8m12s/1m40s, VeriSMo 61m/12m, Atmosphere full 3m29s/1m7s. The
 // reproduced claims: (a) flat PT checking is several times faster than
 // recursive on the same state, (b) the full suite parallelizes across
-// checks. NOTE: on a single-CPU host the 8-thread column cannot speed up.
+// checks. The 8-thread column can speed up by at most the CPUs the process
+// may run on (HostCpus), and only as far as co-tenants leave them free.
 
 #include <cstdio>
-#include <thread>
 
 #include "bench/pipeline.h"
 #include "src/pagetable/refinement.h"
@@ -191,9 +191,9 @@ int main() {
 
   std::printf("=== Table 2: verification time of different systems ===\n");
   std::printf("paper reference: NrOS PT 112s/51s, Atmo PT 33s/-, Atmosphere full 209s/67s\n");
-  std::printf("(this host: %u hardware threads — the 8-thread column cannot speed up on\n",
-              std::thread::hardware_concurrency());
-  std::printf("a single-CPU machine)\n\n");
+  std::printf("(this host: %u schedulable CPUs — the 8-thread column can speed up by at\n",
+              HostCpus());
+  std::printf("most that much)\n\n");
 
   Workload w = Workload::Build(pages);
   std::size_t total_mappings = 0;

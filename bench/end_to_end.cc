@@ -497,7 +497,7 @@ E2EResult RunEndToEnd(const std::string& config_name, const E2EOptions& options)
 }
 
 double CheckedSyscallRate(std::uint64_t ops, std::uint32_t batch, CheckStats* stats_out,
-                          bool use_arena) {
+                          bool use_arena, double seconds) {
   TraceFixture f = TraceFixture::Boot();
   RefinementChecker checker(&f.kernel, RefinementChecker::Options{.check_wf_every = 64,
                                                                   .audit_every = 256,
@@ -511,31 +511,34 @@ double CheckedSyscallRate(std::uint64_t ops, std::uint32_t batch, CheckStats* st
   }
 
   auto start = std::chrono::steady_clock::now();
-  if (batch == 0) {
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      SyscallRet ret = checker.Step(t, RequestSyscall(i));
-      ATMO_CHECK(ret.ok(), "per-call trace syscall failed");
-    }
-  } else {
-    std::uint64_t i = 0;
-    while (i < ops) {
-      std::uint64_t n = std::min<std::uint64_t>(batch, ops - i);
-      for (std::uint64_t j = 0; j < n; ++j, ++i) {
-        SyscallRet s = f.kernel.RingPushDirect(t, AsSubmit(ring, RequestSyscall(i), i));
-        ATMO_CHECK(s.ok(), "trace ring submit failed");
+  std::uint64_t i = 0;  // syscalls certified so far
+  double wall = 0.0;
+  do {
+    const std::uint64_t end = i + ops;
+    if (batch == 0) {
+      for (; i < end; ++i) {
+        SyscallRet ret = checker.Step(t, RequestSyscall(i));
+        ATMO_CHECK(ret.ok(), "per-call trace syscall failed");
       }
-      SyscallRet enter = checker.Step(t, RingEnterCall(ring));
-      ATMO_CHECK(enter.ok() && enter.value == n, "trace batch drain failed");
-      std::size_t reaped = f.kernel.RingReap(t, ring, cqes.data(), cqes.size());
-      ATMO_CHECK(reaped == n, "trace reap came up short");
+    } else {
+      while (i < end) {
+        std::uint64_t n = std::min<std::uint64_t>(batch, end - i);
+        for (std::uint64_t j = 0; j < n; ++j, ++i) {
+          SyscallRet s = f.kernel.RingPushDirect(t, AsSubmit(ring, RequestSyscall(i), i));
+          ATMO_CHECK(s.ok(), "trace ring submit failed");
+        }
+        SyscallRet enter = checker.Step(t, RingEnterCall(ring));
+        ATMO_CHECK(enter.ok() && enter.value == n, "trace batch drain failed");
+        std::size_t reaped = f.kernel.RingReap(t, ring, cqes.data(), cqes.size());
+        ATMO_CHECK(reaped == n, "trace reap came up short");
+      }
     }
-  }
-  double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  } while (wall < seconds);
   if (stats_out != nullptr) {
     *stats_out = checker.stats();
   }
-  return wall > 0 ? static_cast<double>(ops) / wall : 0.0;
+  return wall > 0 ? static_cast<double>(i) / wall : 0.0;
 }
 
 }  // namespace bench

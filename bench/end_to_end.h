@@ -95,9 +95,12 @@ E2EResult RunEndToEnd(const std::string& config_name, const E2EOptions& options)
 // batches. Returns certified inner-syscalls per second — the number the
 // >=5x batched-vs-per-call gate compares. `use_arena` toggles the checker's
 // spec-rep arenas; the arena-off run is the baseline for the
-// allocations-per-checked-step gate (DESIGN.md §14).
+// allocations-per-checked-step gate (DESIGN.md §14). With `seconds` > 0 the
+// run is a fixed-duration rep instead: chunks of `ops` syscalls (a multiple
+// of `batch`) repeat until `seconds` have passed.
 double CheckedSyscallRate(std::uint64_t ops, std::uint32_t batch,
-                          CheckStats* stats_out = nullptr, bool use_arena = true);
+                          CheckStats* stats_out = nullptr, bool use_arena = true,
+                          double seconds = 0.0);
 
 }  // namespace bench
 }  // namespace atmo

@@ -2,6 +2,11 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "src/vstd/check.h"
 
@@ -153,6 +158,20 @@ std::uint64_t ScaledOps(std::uint64_t full) {
     return full / 20 + 1;
   }
   return full;
+}
+
+unsigned HostCpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    int n = CPU_COUNT(&set);
+    if (n > 0) {
+      return static_cast<unsigned>(n);
+    }
+  }
+#endif
+  unsigned hc = std::thread::hardware_concurrency();
+  return hc > 0 ? hc : 1;
 }
 
 }  // namespace bench

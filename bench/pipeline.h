@@ -150,6 +150,14 @@ class BenchJson {
 // Benchmark sizing: scaled down when ATMO_BENCH_QUICK is set (CI).
 std::uint64_t ScaledOps(std::uint64_t full);
 
+// CPUs actually available to this process — the affinity mask, not
+// hardware_concurrency(), which reports the machine's core count even when
+// a container/cgroup pins the process to a subset. The parallel-sweep
+// scaling threshold, its JSON's `host_cpus` field and Table 2's caveat all
+// use this, so a reader comparing runs across hosts can tell a degenerate
+// 1-CPU curve from a real regression.
+unsigned HostCpus();
+
 }  // namespace bench
 }  // namespace atmo
 

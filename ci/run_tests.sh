@@ -192,10 +192,13 @@ batched = report["batched_checked_syscalls_per_sec"]
 if batched < floors["batched_checked_syscalls_per_sec"]:
     failures.append(f"batched checked-syscalls/s {batched:.0f} < floor "
                     f'{floors["batched_checked_syscalls_per_sec"]}')
+# The amortization ratio is the median over alternating fixed-duration
+# per-call/batched rep pairs; the per-pair ratios ride along for diagnosis.
 speedup = report["batched_vs_percall_speedup"]
 if speedup < floors["min_speedup_batched_vs_percall"]:
+    pairs = ", ".join(f"{r:.2f}" for r in report["batched_vs_percall_pair_ratios"])
     failures.append(f"batched/percall amortization {speedup:.2f}x < "
-                    f'{floors["min_speedup_batched_vs_percall"]}x')
+                    f'{floors["min_speedup_batched_vs_percall"]}x (median of pairs {pairs})')
 # Allocation-free hot path (DESIGN.md §14): the arena-backed per-call
 # checker may make at most max_heap_allocs_per_checked_step global-heap
 # allocations per checked step (a deterministic counter). The arena-off

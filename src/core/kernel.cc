@@ -1526,52 +1526,103 @@ void Kernel::AbstractDelta(AbstractKernel* psi, const DirtySet& dirty) const {
   }
 }
 
-InvResult Kernel::MemorySafetyWf() const {
-  SpecSet<PagePtr> pm_closure = pm_.PageClosure();
-  SpecSet<PagePtr> vm_closure = vm_.PageClosure();
-  SpecSet<PagePtr> io_closure = iommu_.PageClosure();
+namespace {
 
-  // Pairwise disjointness (type safety: one owner per page).
-  if (!pm_closure.IsDisjointFrom(vm_closure) || !pm_closure.IsDisjointFrom(io_closure) ||
-      !vm_closure.IsDisjointFrom(io_closure)) {
-    return InvResult::Fail("subsystem page closures overlap");
-  }
-  // Leak freedom: the union of the closures is exactly the allocated set.
-  // Both set equalities read the allocator's side as a stream.
-  auto pages_in = [this](PageState state) {
-    return [this, state](auto emit) { return alloc_.ForEachPageIn(state, emit); };
-  };
-  SpecSet<PagePtr> closures = pm_closure.Union(vm_closure).Union(io_closure);
-  if (!closures.EqualsSorted(pages_in(PageState::kAllocated))) {
-    return InvResult::Fail("page closures differ from the allocator's allocated set");
-  }
-  // Mapped frames are exactly the VM subsystem's held permissions.
-  if (!vm_.HeldFrames().EqualsSorted(pages_in(PageState::kMapped))) {
-    return InvResult::Fail("held frame permissions differ from the mapped set");
-  }
-  // Global map counts: CPU mappings + IOMMU mappings. A spec map, so that
-  // under the checker's ArenaScope the tally lives in its arena.
-  SpecMap<PagePtr, std::uint32_t> counts;
-  auto count_of = [&counts](PagePtr page) -> std::uint32_t {
-    return counts.contains(page) ? counts.at(page) : 0;
-  };
-  for (const auto& [proc, table] : vm_.tables()) {
-    for (const auto& [va, entry] : table.AddressSpace()) {
-      counts.set(entry.addr, count_of(entry.addr) + 1);
+// MemorySafetyWf's obligations. The subsystems' page closures and the
+// CPU + IOMMU mapping tally are built up front; the allocator's side of
+// each obligation arrives through Visit(), once per in-use page in frame
+// order, from a pass TotalWf shares with QuotaTally. Verdict() reports the
+// first failed obligation in the order they are stated.
+class MemorySafetyObligations {
+ public:
+  explicit MemorySafetyObligations(const Kernel& k) : k_(k) {
+    SpecSet<PagePtr> pm_closure = k.pm().PageClosure();
+    SpecSet<PagePtr> vm_closure = k.vm().PageClosure();
+    SpecSet<PagePtr> io_closure = k.iommu().PageClosure();
+    // Pairwise disjointness (type safety: one owner per page).
+    disjoint_ = pm_closure.IsDisjointFrom(vm_closure) && pm_closure.IsDisjointFrom(io_closure) &&
+                vm_closure.IsDisjointFrom(io_closure);
+    closures_ = pm_closure.Union(vm_closure).Union(io_closure);
+    next_closure_ = closures_.begin();
+    // Global map counts: CPU mappings + IOMMU mappings.
+    for (const auto& [proc, table] : k.vm().tables()) {
+      for (const auto& [va, entry] : table.AddressSpace()) {
+        counts_.set(entry.addr, CountOf(entry.addr) + 1);
+      }
+    }
+    for (const auto& [id, table] : k.iommu().domains()) {
+      for (const auto& [iova, entry] : table.AddressSpace()) {
+        counts_.set(entry.addr, CountOf(entry.addr) + 1);
+      }
     }
   }
-  for (const auto& [id, table] : iommu_.domains()) {
-    for (const auto& [iova, entry] : table.AddressSpace()) {
-      counts.set(entry.addr, count_of(entry.addr) + 1);
+  MemorySafetyObligations(const MemorySafetyObligations&) = delete;
+  MemorySafetyObligations& operator=(const MemorySafetyObligations&) = delete;
+
+  void Visit(PagePtr page, PageState state) {
+    if (state == PageState::kAllocated) {
+      // Leak freedom: the allocated pages, ascending, meet the union of the
+      // closures in step.
+      closures_agree_ = closures_agree_ && next_closure_ != closures_.end() &&
+                        *next_closure_ == page;
+      if (closures_agree_) {
+        ++next_closure_;
+      }
+      return;
     }
+    // Mapped: the VM subsystem holds the frame's permission, and its map
+    // count is the tally.
+    ++mapped_;
+    held_agree_ = held_agree_ && k_.vm().HoldsFrame(page);
+    tally_agrees_ = tally_agrees_ && k_.alloc().MapCount(page) == CountOf(page);
   }
-  bool tally_agrees = alloc_.ForEachPageIn(PageState::kMapped, [&](PagePtr page) {
-    return alloc_.MapCount(page) == count_of(page);
+
+  InvResult Verdict() const {
+    if (!disjoint_) {
+      return InvResult::Fail("subsystem page closures overlap");
+    }
+    // The union of the closures is exactly the allocated set.
+    if (!closures_agree_ || next_closure_ != closures_.end()) {
+      return InvResult::Fail("page closures differ from the allocator's allocated set");
+    }
+    // Mapped frames are exactly the VM subsystem's held permissions: every
+    // mapped page is held, and there are as many of each.
+    if (!held_agree_ || mapped_ != k_.vm().HeldFrameCount()) {
+      return InvResult::Fail("held frame permissions differ from the mapped set");
+    }
+    if (!tally_agrees_) {
+      return InvResult::Fail("map count disagrees with mapping tally");
+    }
+    return InvResult{};
+  }
+
+ private:
+  std::uint32_t CountOf(PagePtr page) const {
+    return counts_.contains(page) ? counts_.at(page) : 0;
+  }
+
+  const Kernel& k_;
+  bool disjoint_ = false;
+  SpecSet<PagePtr> closures_;
+  decltype(closures_.begin()) next_closure_;
+  // A spec map, so that under the checker's ArenaScope the tally lives in
+  // its arena.
+  SpecMap<PagePtr, std::uint32_t> counts_;
+  bool closures_agree_ = true;
+  std::size_t mapped_ = 0;
+  bool held_agree_ = true;
+  bool tally_agrees_ = true;
+};
+
+}  // namespace
+
+InvResult Kernel::MemorySafetyWf() const {
+  MemorySafetyObligations memory(*this);
+  alloc_.ForEachInUsePage([&](PagePtr page, PageState state) {
+    memory.Visit(page, state);
+    return true;
   });
-  if (!tally_agrees) {
-    return InvResult::Fail("map count disagrees with mapping tally");
-  }
-  return InvResult{};
+  return memory.Verdict();
 }
 
 InvResult Kernel::TotalWf() const {
@@ -1579,7 +1630,17 @@ InvResult Kernel::TotalWf() const {
   if (!r.ok) {
     return r;
   }
-  r = QuotaWf(pm_, alloc_);
+  // One pass over the allocator's in-use pages feeds both frame-table
+  // obligations: QuotaWf's per-owner tally and MemorySafetyWf's three.
+  // Their verdicts keep their places in the order below.
+  QuotaTally quota;
+  MemorySafetyObligations memory(*this);
+  alloc_.ForEachInUsePage([&](PagePtr page, PageState state) {
+    quota.Count(alloc_, page);
+    memory.Visit(page, state);
+    return true;
+  });
+  r = quota.Verdict(pm_);
   if (!r.ok) {
     return r;
   }
@@ -1606,7 +1667,7 @@ InvResult Kernel::TotalWf() const {
       return InvResult::Fail("MMU cross-check: " + cross.detail);
     }
   }
-  return MemorySafetyWf();
+  return memory.Verdict();
 }
 
 Kernel Kernel::CloneForVerification() const {

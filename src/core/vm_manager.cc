@@ -244,14 +244,6 @@ SpecSet<PagePtr> VmManager::PageClosure() const {
   return out;
 }
 
-SpecSet<PagePtr> VmManager::HeldFrames() const {
-  SpecSet<PagePtr> out;
-  for (const auto& [page, perm] : frame_perms_) {
-    out.add(page);
-  }
-  return out;
-}
-
 bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
   // The hashed index mirrors tables_ exactly: same domain, and every entry
   // points at the authoritative map node.
@@ -270,14 +262,10 @@ bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
       return false;
     }
   }
-  // Held frame permissions are exactly the allocator's mapped pages.
-  if (!HeldFrames().EqualsSorted(
-          [&alloc](auto emit) { return alloc.ForEachPageIn(PageState::kMapped, emit); })) {
-    return false;
-  }
-  // No address space maps a frame that is not in the mapped state. Exact
-  // map-count accounting (CPU + IOMMU references) is checked globally by
-  // Kernel::MemorySafetyWf, which sees both subsystems.
+  // No address space maps a frame that is not in the mapped state. Held
+  // frames == mapped pages and exact map-count accounting (CPU + IOMMU
+  // references) are checked globally by Kernel::MemorySafetyWf, which sees
+  // both subsystems.
   for (const auto& [proc, table] : tables_) {
     for (const auto& [va, entry] : table.AddressSpace()) {
       if (alloc.StateOf(entry.addr) != PageState::kMapped) {

@@ -122,13 +122,14 @@ class VmManager {
   // subsystem; mapped user frames are owned by the address spaces and
   // accounted separately).
   SpecSet<PagePtr> PageClosure() const;
-  // Domain of held user-frame permissions (must equal the allocator's
-  // mapped set).
-  SpecSet<PagePtr> HeldFrames() const;
-  // Structural + refinement well-formedness of every table, plus
-  // frame-permission consistency: held frames are exactly the allocator's
-  // mapped pages and each map count equals the number of (proc, va)
-  // mappings of that frame.
+  // Held user-frame permissions. Their domain must equal the allocator's
+  // mapped set, which Kernel::MemorySafetyWf checks.
+  bool HoldsFrame(PagePtr page) const { return frame_perms_.count(page) != 0; }
+  std::size_t HeldFrameCount() const { return frame_perms_.size(); }
+  // The index mirrors the tables, every table is structurally well-formed,
+  // every mapping targets a mapped frame, and every borrow record matches
+  // its two mappings. Held frames == mapped pages and exact map counts
+  // (CPU + IOMMU references) are global: Kernel::MemorySafetyWf.
   bool Wf(const PhysMem& mem, const PageAllocator& alloc) const;
 
   const std::map<ProcPtr, PageTable>& tables() const { return tables_; }
@@ -144,6 +145,8 @@ class VmManager {
   void CloneForVerificationInto(VmManager* out, PhysMem* mem) const;
 
  private:
+  friend struct VmManagerTestPeer;
+
   // Hashed-index lookups used by every syscall; nullptr when absent.
   PageTable* FindTable(ProcPtr proc);
   const PageTable* FindTable(ProcPtr proc) const;

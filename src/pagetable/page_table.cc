@@ -1,5 +1,6 @@
 #include "src/pagetable/page_table.h"
 
+#include <array>
 #include <utility>
 
 #include "src/vstd/check.h"
@@ -27,6 +28,17 @@ constexpr int LeafLevel(PageSize size) {
 }
 
 }  // namespace
+
+PtNodeEntries ReadPtNode(const PhysMem& mem, PAddr node) {
+  static constexpr std::array<std::uint64_t, kPtEntriesPerNode> kUntouched{};
+  ATMO_CHECK(node % kPageSize4K == 0, "page-table node not frame-aligned");
+  const std::uint8_t* frame = mem.HwFrameSpanIfTouched(node / kPageSize4K);
+  if (frame == nullptr) {
+    return PtNodeEntries(kUntouched);
+  }
+  // The frame's backing store is an array of u64 words: no aliasing.
+  return PtNodeEntries(reinterpret_cast<const std::uint64_t*>(frame), kPtEntriesPerNode);
+}
 
 const char* MapErrorName(MapError error) {
   switch (error) {
@@ -320,22 +332,15 @@ bool PageTable::StructureWf(const PhysMem& mem) const {
     if (info.level < 1 || info.level > 4) {
       return false;
     }
-    for (std::uint64_t index = 0; index < kPtEntriesPerNode; ++index) {
-      std::uint64_t pte = mem.HwReadU64(addr + index * 8);
-      if ((pte & kPtePresent) == 0) {
-        continue;
-      }
+    bool node_ok = ForEachPresentPte(ReadPtNode(mem, addr), [&](std::uint64_t index,
+                                                                std::uint64_t pte) {
       PAddr target = pte & kPteAddrMask;
       bool superpage_leaf = (info.level == 3 || info.level == 2) && (pte & kPtePageSize) != 0;
       if (info.level == 1 || superpage_leaf) {
         // Leaf: alignment by level.
-        std::uint64_t align = EntrySpan(info.level);
-        if (target % align != 0) {
-          return false;
-        }
-        continue;
+        return target % EntrySpan(info.level) == 0;
       }
-      if (info.level == 1 || (pte & kPtePageSize) != 0) {
+      if ((pte & kPtePageSize) != 0) {
         return false;  // PS bit outside PDPT/PD
       }
       // Non-leaf: must reference a registered node of the next level whose
@@ -349,6 +354,10 @@ bool PageTable::StructureWf(const PhysMem& mem) const {
         return false;
       }
       ref_count.set(target, (ref_count.contains(target) ? ref_count.at(target) : 0) + 1);
+      return true;
+    });
+    if (!node_ok) {
+      return false;
     }
   }
 
@@ -388,9 +397,7 @@ PageTable PageTable::CloneForVerification(PhysMem* mem) const {
   // caller passes a PhysMem snapshot, so restore is unnecessary only if the
   // snapshot was taken after construction. To keep this safe, copy the root
   // bytes back from our own memory image.
-  for (std::uint64_t index = 0; index < kPtEntriesPerNode; ++index) {
-    mem->HwWriteU64(cr3_ + index * 8, mem_->HwReadU64(cr3_ + index * 8));
-  }
+  mem->HwWriteBytes(cr3_, ReadPtNode(*mem_, cr3_).data(), kPageSize4K);
   out.node_perms_.clear();
   for (const auto& [addr, perm] : node_perms_) {
     // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture; steady state uses CloneForVerificationInto over pooled state

@@ -22,6 +22,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "src/hw/mmu.h"
@@ -51,6 +52,42 @@ struct PtNodeInfo {
 
   friend bool operator==(const PtNodeInfo&, const PtNodeInfo&) = default;
 };
+
+// The one node reader of every page-table scan (StructureWf and both
+// refinement checkers): a node's 512 entries as hardware sees them, read as
+// one frame span instead of 512 HwReadU64 calls. An untouched frame reads
+// as all-zero, as HwReadU64 reads it. Nodes are frame-aligned by
+// construction (a node's FramePerm is minted aligned; an entry's target is
+// masked to a frame); ReadPtNode checks it.
+using PtNodeEntries = std::span<const std::uint64_t, kPtEntriesPerNode>;
+PtNodeEntries ReadPtNode(const PhysMem& mem, PAddr node);
+
+// Entries per 64-byte cache line of a node.
+inline constexpr std::uint64_t kPtEntriesPerLine = 8;
+
+// Calls visit(index, pte) for each present entry of a node in index order,
+// stopping at the first false; returns whether it ran to the end. Most
+// entries are empty, so the scan goes a cache line at a time and skips a
+// line none of whose 8 entries has the present bit.
+template <typename Visit>
+bool ForEachPresentPte(PtNodeEntries entries, Visit visit) {
+  for (std::uint64_t line = 0; line < kPtEntriesPerNode; line += kPtEntriesPerLine) {
+    const std::uint64_t* pte = entries.data() + line;
+    std::uint64_t any = 0;
+    for (std::uint64_t i = 0; i < kPtEntriesPerLine; ++i) {
+      any |= pte[i];
+    }
+    if ((any & kPtePresent) == 0) {
+      continue;
+    }
+    for (std::uint64_t i = 0; i < kPtEntriesPerLine; ++i) {
+      if ((pte[i] & kPtePresent) != 0 && !visit(line + i, pte[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 class PageTable {
  public:

@@ -54,27 +54,28 @@ RefinementReport FlatRefinementCheck(const PageTable& pt, const PhysMem& mem) {
       return Fail("node " + Hex(addr) + " missing flat ghost metadata");
     }
     const PtNodeInfo& info = pt.node_info().at(addr);
-    for (std::uint64_t index = 0; index < kPtEntriesPerNode; ++index) {
-      std::uint64_t pte = mem.HwReadU64(addr + index * 8);
-      if ((pte & kPtePresent) == 0) {
-        continue;
-      }
+    RefinementReport fault;
+    bool node_ok = ForEachPresentPte(ReadPtNode(mem, addr), [&](std::uint64_t index,
+                                                                std::uint64_t pte) {
       bool superpage_leaf = (info.level == 2 || info.level == 3) && (pte & kPtePageSize) != 0;
       if (info.level != 1 && !superpage_leaf) {
-        continue;  // interior entry; structure checked by StructureWf
+        return true;  // interior entry; structure checked by StructureWf
       }
       VAddr va = info.va_base + index * EntrySpan(info.level);
       PageSize size = LevelSize(info.level);
       const SpecMap<VAddr, MapEntry>& ghost = pt.mapping(size);
       if (!ghost.contains(va)) {
-        return Fail("concrete leaf at va " + Hex(va) + " absent from abstract map");
+        fault = Fail("concrete leaf at va " + Hex(va) + " absent from abstract map");
+        return false;
       }
       const MapEntry& entry = ghost.at(va);
       if (entry.addr != (pte & kPteAddrMask)) {
-        return Fail("abstract/concrete address mismatch at va " + Hex(va));
+        fault = Fail("abstract/concrete address mismatch at va " + Hex(va));
+        return false;
       }
       if (!(entry.perm == EffectivePerm(pte))) {
-        return Fail("abstract/concrete permission mismatch at va " + Hex(va));
+        fault = Fail("abstract/concrete permission mismatch at va " + Hex(va));
+        return false;
       }
       switch (info.level) {
         case 1:
@@ -87,6 +88,10 @@ RefinementReport FlatRefinementCheck(const PageTable& pt, const PhysMem& mem) {
           ++leaves_1g;
           break;
       }
+      return true;
+    });
+    if (!node_ok) {
+      return fault;
     }
   }
 
@@ -115,11 +120,7 @@ struct InterpMaps {
 // unrolling. Deliberately takes and returns maps by value.
 InterpMaps InterpNode(const PhysMem& mem, PAddr node, int level, VAddr base) {
   InterpMaps out;
-  for (std::uint64_t index = 0; index < kPtEntriesPerNode; ++index) {
-    std::uint64_t pte = mem.HwReadU64(node + index * 8);
-    if ((pte & kPtePresent) == 0) {
-      continue;
-    }
+  ForEachPresentPte(ReadPtNode(mem, node), [&](std::uint64_t index, std::uint64_t pte) {
     VAddr slot_base = base + index * EntrySpan(level);
     PAddr target = pte & kPteAddrMask;
     bool superpage_leaf = (level == 2 || level == 3) && (pte & kPtePageSize) != 0;
@@ -147,7 +148,8 @@ InterpMaps InterpNode(const PhysMem& mem, PAddr node, int level, VAddr base) {
         out.map_1g = out.map_1g.insert(va, entry);
       }
     }
-  }
+    return true;
+  });
   return out;
 }
 

@@ -603,13 +603,24 @@ bool PageAllocator::Wf() const {
           // Wf() check in the kernel. Treat as ill-formed here.
           return false;
         }
-        if (meta.state == PageState::kFree) {
-          if (meta.size == PageSize::k4K) {
-            ++in_2m[frame / kFramesPer2M];
-            eq_1g[frame / kFramesPer1G] += 1;
-          } else if (meta.size == PageSize::k2M) {
-            eq_1g[frame / kFramesPer1G] += kFramesPer2M;
+        if (meta.state == PageState::kFree && meta.size == PageSize::k4K) {
+          // A free 4K frame passes every check above trivially, so take the
+          // whole run of them up to the end of the 2M group at once and add
+          // it to the group's counters once, not once per frame.
+          const std::uint64_t group_end =
+              std::min<std::uint64_t>((frame / kFramesPer2M + 1) * kFramesPer2M, meta_.size());
+          std::uint64_t run_end = frame + 1;
+          while (run_end < group_end && meta_[run_end].state == PageState::kFree &&
+                 meta_[run_end].size == PageSize::k4K) {
+            ++run_end;
           }
+          in_2m[frame / kFramesPer2M] += static_cast<std::uint32_t>(run_end - frame);
+          eq_1g[frame / kFramesPer1G] += run_end - frame;
+          frame = run_end;
+          continue;
+        }
+        if (meta.state == PageState::kFree && meta.size == PageSize::k2M) {
+          eq_1g[frame / kFramesPer1G] += kFramesPer2M;
         }
         frame += span;
         continue;

@@ -338,28 +338,24 @@ InvResult SchedulerWf(const ProcessManager& pm) {
   return InvResult{};
 }
 
-InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc) {
+void QuotaTally::Count(const PageAllocator& alloc, PagePtr page) {
+  const CtnrPtr owner = alloc.OwnerOf(page);
+  charged_.set(owner, ChargedTo(owner) + PageFrames4K(alloc.SizeClassOf(page)));
+}
+
+std::uint64_t QuotaTally::ChargedTo(CtnrPtr owner) const {
+  return charged_.contains(owner) ? charged_.at(owner) : 0;
+}
+
+InvResult QuotaTally::Verdict(const ProcessManager& pm) const {
   const PermissionMap<Container>& cntrs = pm.cntr_perms();
-
-  // Tally allocator attribution: 4K-frame counts per owner. A spec map, so
-  // that under the checker's ArenaScope the tally lives in its arena.
-  SpecMap<CtnrPtr, std::uint64_t> charged;
-  auto charged_to = [&charged](CtnrPtr owner) -> std::uint64_t {
-    return charged.contains(owner) ? charged.at(owner) : 0;
-  };
-  alloc.ForEachInUsePage([&](PagePtr page, PageState) {
-    const CtnrPtr owner = alloc.OwnerOf(page);
-    charged.set(owner, charged_to(owner) + PageFrames4K(alloc.SizeClassOf(page)));
-    return true;
-  });
-
   std::uint64_t total_quota = 0;
   for (const auto& [c_ptr, perm] : cntrs) {
     const Container& c = perm.value();
     if (c.mem_used > c.mem_quota) {
       return InvResult::Fail("container " + Hex(c_ptr) + " exceeds its memory quota");
     }
-    std::uint64_t owned = charged_to(c_ptr);
+    std::uint64_t owned = ChargedTo(c_ptr);
     if (owned != c.mem_used) {
       return InvResult::Fail("container " + Hex(c_ptr) + " mem_used (" +
                              std::to_string(c.mem_used) + ") != allocator attribution (" +
@@ -377,12 +373,21 @@ InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc) {
   }
 
   // No page attributed to a dead container.
-  for (const auto& [owner, frames] : charged) {
+  for (const auto& [owner, frames] : charged_) {
     if (owner != kNullPtr && !cntrs.contains(owner)) {
       return InvResult::Fail("pages attributed to dead container " + Hex(owner));
     }
   }
   return InvResult{};
+}
+
+InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc) {
+  QuotaTally tally;
+  alloc.ForEachInUsePage([&](PagePtr page, PageState) {
+    tally.Count(alloc, page);
+    return true;
+  });
+  return tally.Verdict(pm);
 }
 
 InvResult ProcessManagerWf(const ProcessManager& pm) {

@@ -15,6 +15,7 @@
 
 #include "src/pmem/page_allocator.h"
 #include "src/proc/process_manager.h"
+#include "src/vstd/spec_map.h"
 
 namespace atmo {
 
@@ -47,8 +48,24 @@ InvResult SchedulerWf(const ProcessManager& pm);
 
 // quota_wf: per-container page accounting matches the allocator's owner
 // attribution, usage respects quotas, and the total reservation is
-// conserved across the container tree.
+// conserved across the container tree. One pass of QuotaTally.
 InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc);
+
+// quota_wf split at the allocator: Count() each of the allocator's in-use
+// pages (ForEachInUsePage), then Verdict(). Kernel::TotalWf feeds it from the
+// same pass as the memory-safety obligations.
+class QuotaTally {
+ public:
+  void Count(const PageAllocator& alloc, PagePtr page);
+  InvResult Verdict(const ProcessManager& pm) const;
+
+ private:
+  std::uint64_t ChargedTo(CtnrPtr owner) const;
+
+  // 4K-frame counts per owner. A spec map, so that under the checker's
+  // ArenaScope the tally lives in its arena.
+  SpecMap<CtnrPtr, std::uint64_t> charged_;
+};
 
 // Conjunction of all of the above (without quota, which needs the
 // allocator).

@@ -3,6 +3,8 @@
 // write-by-write consistency property.
 
 #include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -305,6 +307,128 @@ TEST_F(PageTableTest, CheckersDetectMissingConcreteLeaf) {
   EXPECT_FALSE(RecursiveRefinementCheck(*pt_, mem_).ok);
   mem_.HwWriteU64(node + VaIndex(0x400000, 1) * 8, leaf);
 }
+
+// Line-boundary corruptions. The node scans read a node a cache line (8
+// entries) at a time and skip a line with no present entry, so a corruption
+// is planted at either edge of a line and at either end of the node: slots
+// 0, 7, 8 and 511. StructureWf or the flat checker must reject it, and the
+// recursive checker, which knows only cr3, must reach the flat verdict.
+enum class LineCorruption {
+  kStrayLeaf,          // present PT leaf absent from the abstract map
+  kWritableFlip,       // writable bit flipped on a mapped PT leaf
+  kPml4PageSize,       // PS bit on an interior PML4 entry
+  kUnregisteredChild,  // PD entry pointing at a frame that is no node
+  kPtBit7,             // bit 7 on a mapped PT leaf: PAT there, not PS
+};
+
+const char* LineCorruptionName(LineCorruption c) {
+  switch (c) {
+    case LineCorruption::kStrayLeaf:
+      return "StrayLeaf";
+    case LineCorruption::kWritableFlip:
+      return "WritableFlip";
+    case LineCorruption::kPml4PageSize:
+      return "Pml4PageSize";
+    case LineCorruption::kUnregisteredChild:
+      return "UnregisteredChild";
+    case LineCorruption::kPtBit7:
+      return "PtBit7";
+  }
+  return "?";
+}
+
+class PageTableLineTest
+    : public PageTableTest,
+      public ::testing::WithParamInterface<std::tuple<LineCorruption, std::uint64_t>> {
+ protected:
+  // Start of one PT node's range: PML4 slot 0, PDPT slot 0, PD slot 2.
+  static constexpr VAddr kBase = 0x400000;
+  static constexpr PAddr kTarget = 0x1000000;
+  // A frame no table owns; never written, so it reads as an empty node.
+  static constexpr PAddr kUnregisteredNode = 0x3000000;
+
+  // The node at `level` on the hardware walk to `va` (4 = the root).
+  PAddr NodeAt(int level, VAddr va) {
+    PAddr node = pt_->cr3();
+    for (int l = 4; l > level; --l) {
+      node = mem_.HwReadU64(node + VaIndex(va, l) * 8) & kPteAddrMask;
+    }
+    return node;
+  }
+};
+
+TEST_P(PageTableLineTest, ScansSeeCorruptionAtLineBoundaries) {
+  const auto [corruption, slot] = GetParam();
+  PAddr entry = 0;  // the corrupted entry's address
+  std::uint64_t bad = 0;
+  switch (corruption) {
+    case LineCorruption::kStrayLeaf: {
+      // A mapping in another slot brings the PT node into existence.
+      VAddr other = kBase + (slot + 1) % kPtEntriesPerNode * kPageSize4K;
+      ASSERT_EQ(pt_->Map(&alloc_, other, kTarget, PageSize::k4K, kRw), MapError::kOk);
+      entry = NodeAt(1, kBase) + slot * 8;
+      bad = MakePte(kTarget + kPageSize4K, kRw, /*leaf_superpage=*/false);
+      break;
+    }
+    case LineCorruption::kWritableFlip:
+    case LineCorruption::kPtBit7: {
+      VAddr va = kBase + slot * kPageSize4K;
+      ASSERT_EQ(pt_->Map(&alloc_, va, kTarget, PageSize::k4K, kRw), MapError::kOk);
+      entry = NodeAt(1, va) + slot * 8;
+      bad = mem_.HwReadU64(entry) ^
+            (corruption == LineCorruption::kWritableFlip ? kPteWritable : kPtePageSize);
+      break;
+    }
+    case LineCorruption::kPml4PageSize: {
+      VAddr va = (slot << 39) | kBase;
+      ASSERT_EQ(pt_->Map(&alloc_, va, kTarget, PageSize::k4K, kRw), MapError::kOk);
+      entry = pt_->cr3() + slot * 8;
+      bad = mem_.HwReadU64(entry) | kPtePageSize;
+      break;
+    }
+    case LineCorruption::kUnregisteredChild: {
+      // kBase takes PD slot 2; the corrupted slots are all free.
+      ASSERT_EQ(pt_->Map(&alloc_, kBase, kTarget, PageSize::k4K, kRw), MapError::kOk);
+      entry = NodeAt(2, kBase) + slot * 8;
+      MapEntryPerm wide{.writable = true, .user = true, .no_execute = false};
+      bad = MakePte(kUnregisteredNode, wide, /*leaf_superpage=*/false);
+      break;
+    }
+  }
+  ExpectAllChecksPass();
+
+  const std::uint64_t saved = mem_.HwReadU64(entry);
+  mem_.HwWriteU64(entry, bad);
+  bool structure = pt_->StructureWf(mem_);
+  RefinementReport flat = FlatRefinementCheck(*pt_, mem_);
+  RefinementReport rec = RecursiveRefinementCheck(*pt_, mem_);
+  if (corruption == LineCorruption::kPtBit7) {
+    // The walker ignores bit 7 at level 1, and so does every checker.
+    EXPECT_TRUE(structure);
+    EXPECT_TRUE(flat.ok) << flat.detail;
+    EXPECT_TRUE(MmuCrossCheck(*pt_, mmu_).ok);
+  } else {
+    EXPECT_FALSE(structure && flat.ok);
+  }
+  EXPECT_EQ(rec.ok, flat.ok) << "flat: " << flat.detail << "; recursive: " << rec.detail;
+
+  mem_.HwWriteU64(entry, saved);  // restore so TearDown unmaps cleanly
+  ExpectAllChecksPass();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Slots, PageTableLineTest,
+    ::testing::Combine(::testing::Values(LineCorruption::kStrayLeaf,
+                                         LineCorruption::kWritableFlip,
+                                         LineCorruption::kPml4PageSize,
+                                         LineCorruption::kUnregisteredChild,
+                                         LineCorruption::kPtBit7),
+                       ::testing::Values(std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{8},
+                                         std::uint64_t{511})),
+    [](const ::testing::TestParamInfo<PageTableLineTest::ParamType>& info) {
+      return std::string(LineCorruptionName(std::get<0>(info.param))) + "_slot" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // Parameterized sweep: random map/unmap sequences at mixed sizes keep all
 // four checkers green (flat, recursive, structural, MMU).

@@ -343,14 +343,18 @@ class WfEquivalenceTest : public ::testing::Test {
     base_.FreePage(free_2m->ptr, std::move(free_2m->perm));
   }
 
-  // Runs both predicates on a corrupted clone and checks they agree on the
+  // Runs both predicates on a mutated clone and checks they agree on the
   // expected verdict.
   template <typename Corrupt>
-  void ExpectBothReject(const char* what, Corrupt&& corrupt) {
+  void ExpectBoth(bool ok, const char* what, Corrupt&& corrupt) {
     PageAllocator clone = base_.CloneForVerification();
     corrupt(&clone);
-    EXPECT_FALSE(clone.Wf()) << what;
-    EXPECT_FALSE(clone.WfReference()) << what;
+    EXPECT_EQ(clone.Wf(), ok) << what;
+    EXPECT_EQ(clone.WfReference(), ok) << what;
+  }
+  template <typename Corrupt>
+  void ExpectBothReject(const char* what, Corrupt&& corrupt) {
+    ExpectBoth(false, what, std::forward<Corrupt>(corrupt));
   }
 
   PageAllocator base_;
@@ -436,6 +440,78 @@ TEST_F(WfEquivalenceTest, CorruptedStatesRejectedByBoth) {
                      std::uint64_t head = Peer::FreeHead(*a, PageSize::k4K);
                      Peer::Meta(a, head).state = PageState::kUnavailable;
                    });
+}
+
+// Wf counts each run of free 4K frames inside a 2M group once. Splitting the
+// free 2M unit makes one run of free 4K frames from its group across the
+// next group boundary to the last frame of the machine; the fixtures move
+// counters across that boundary, cut the run short at the end, and plant
+// frames of the wrong size class or state inside it.
+TEST_F(WfEquivalenceTest, FreeRunFixturesAgreeWithReference) {
+  const std::uint64_t run_start = free_2m_ptr_ / kPageSize4K;  // group 3
+  const std::uint64_t boundary = run_start + kFramesPer2M;     // group 4
+  const std::uint64_t last = base_.total_frames() - 1;
+  const std::uint64_t g = run_start / kFramesPer2M;
+  auto split = [&](PageAllocator* a) { a->Split2M(free_2m_ptr_); };
+  ASSERT_EQ(last + 1, boundary + kFramesPer2M) << "the run must end at the last frame";
+
+  ExpectBoth(true, "free run across a group boundary to the last frame", split);
+  ExpectBoth(true, "run ends inside its group at allocated frames", [&](PageAllocator* a) {
+    split(a);
+    // The split pushed its frames low to high, so these take the top of
+    // the group: the run stops 100 frames short of the boundary.
+    for (int i = 0; i < 100; ++i) {
+      std::optional<PageAlloc> page = a->AllocPage4K(kNullPtr);
+      ASSERT_TRUE(page.has_value());
+      ASSERT_EQ(page->ptr / kPageSize4K, boundary - 1 - static_cast<std::uint64_t>(i));
+    }
+  });
+  ExpectBothReject("crossing run's frames counted in the group before the boundary",
+                   [&](PageAllocator* a) {
+                     split(a);
+                     ++Peer::FreeIn2M(a)[g];
+                     --Peer::FreeIn2M(a)[g + 1];
+                   });
+  ExpectBothReject("crossing run's frames counted in the group after the boundary",
+                   [&](PageAllocator* a) {
+                     split(a);
+                     --Peer::FreeIn2M(a)[g];
+                     ++Peer::FreeIn2M(a)[g + 1];
+                   });
+  ExpectBothReject("last group's counters miss the run's final frame", [&](PageAllocator* a) {
+    split(a);
+    --Peer::FreeIn2M(a)[last / kFramesPer2M];
+    --Peer::FreeEq1G(a)[0];
+  });
+  ExpectBothReject("last frame leaves the free state at the end of the run",
+                   [&](PageAllocator* a) {
+                     split(a);
+                     Peer::Meta(a, last).state = PageState::kAllocated;
+                   });
+  ExpectBothReject("last frame of the run claims the 2M size class", [&](PageAllocator* a) {
+    split(a);
+    Peer::Meta(a, last).size = PageSize::k2M;
+  });
+  for (std::uint64_t frame : {boundary - 1, boundary, boundary + 7}) {
+    ExpectBothReject("frame inside the run claims the 2M size class", [&](PageAllocator* a) {
+      split(a);
+      Peer::Meta(a, frame).size = PageSize::k2M;
+    });
+    ExpectBothReject("frame inside the run claims the 1G size class", [&](PageAllocator* a) {
+      split(a);
+      Peer::Meta(a, frame).size = PageSize::k1G;
+    });
+    ExpectBothReject("frame inside the run is allocated", [&](PageAllocator* a) {
+      split(a);
+      Peer::Meta(a, frame).state = PageState::kAllocated;
+    });
+    ExpectBothReject("frame inside the run is merged into the allocated 2M unit",
+                     [&](PageAllocator* a) {
+                       split(a);
+                       Peer::Meta(a, frame).state = PageState::kMerged;
+                       Peer::Meta(a, frame).merged_head = alloc_2m_->ptr / kPageSize4K;
+                     });
+  }
 }
 
 }  // namespace
