@@ -2,42 +2,6 @@
 
 namespace atmo {
 
-bool RingSubmittable(SysOp op) {
-  switch (op) {
-    case SysOp::kMmap:
-    case SysOp::kMunmap:
-    case SysOp::kNewContainer:
-    case SysOp::kNewProcess:
-    case SysOp::kNewThread:
-    case SysOp::kNewEndpoint:
-    case SysOp::kUnbindEndpoint:
-    case SysOp::kIommuCreateDomain:
-    case SysOp::kIommuAttachDevice:
-    case SysOp::kIommuDetachDevice:
-    case SysOp::kIommuMapDma:
-    case SysOp::kIommuUnmapDma:
-    case SysOp::kGrantReturn:
-      return true;
-    case SysOp::kYield:
-    case SysOp::kSend:
-    case SysOp::kRecv:
-    case SysOp::kCall:
-    case SysOp::kReply:
-    case SysOp::kExit:
-    case SysOp::kKillProcess:
-    case SysOp::kKillContainer:
-    case SysOp::kRingSetup:
-    case SysOp::kRingSubmit:
-    case SysOp::kRingEnter:
-    case SysOp::kObsQuery:
-      // Snapshot semantics stay synchronous: a deferred query would report
-      // counters as of an unpredictable drain point, which defeats its
-      // purpose and would entangle the ring spec with observability state.
-      return false;
-  }
-  return false;
-}
-
 Syscall RingInnerCall(const Syscall& submit) {
   Syscall inner = submit;
   inner.op = submit.ring_op;

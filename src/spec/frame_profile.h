@@ -2,21 +2,16 @@
 //
 // The per-syscall specifications (syscall_specs.cc) state exact frame
 // conditions, but they are spread across ~1200 lines of predicate code — a
-// reviewer (or a static checker) cannot see at a glance what kMmap is
-// allowed to modify. This table is the coarse, declarative summary: one
-// FrameProfile per SysOp naming the abstract-state components the op may
-// change on ANY outcome (success, blocked, or failure). It is enforced two
-// ways:
-//
-//   * at runtime — RefinementChecker::Step evaluates
-//     FrameProfileViolation(Ψ, Ψ', profile) after every Exec and fails
-//     verification if a component outside the profile changed. Unchanged
-//     components share their root node in incremental mode, so the check
-//     is O(1) per untouched component;
-//   * statically — tools/averif_lint's spec-coverage rule requires every
-//     SysOp enumerator to appear in the FrameProfileFor switch below (along
-//     with the spec dispatcher, the kernel dispatch and SysOpName), so a
-//     new syscall cannot ship without declaring its frame.
+// reader cannot see at a glance what kMmap is allowed to modify. This
+// table is the coarse, declarative summary: one FrameProfile per SysOp
+// naming the abstract-state components the op may change on ANY outcome
+// (success, blocked, or failure). The profiles are the frame column of the
+// syscall table (ATMO_SYSOPS, src/core/syscall.h), so a syscall cannot exist
+// without one. RefinementChecker::Step evaluates
+// FrameProfileViolation(Ψ, Ψ', profile) after every Exec and fails
+// verification if a component outside the profile changed. Unchanged
+// components share their root node in incremental mode, so the check is
+// O(1) per untouched component.
 //
 // Keep profiles tight: a component is listed only if some reachable path of
 // the op mutates it. Widening a profile to silence a runtime violation
@@ -47,9 +42,11 @@ struct FrameProfile {
   bool iommu = false;
   bool rings = false;
   bool scheduler = false;
+
+  friend bool operator==(const FrameProfile&, const FrameProfile&) = default;
 };
 
-// The table. Derivation notes per op:
+// Derivation notes shared by many rows of the table:
 //   * object creation charges quota (containers) and allocates object/table
 //     pages (pages + free_sets);
 //   * rendezvous IPC can move threads between queues (threads, endpoints,
@@ -58,85 +55,25 @@ struct FrameProfile {
 //     IOMMU domain (iommu, both containers' charge);
 //   * kills harvest resources upward: everything the subtree owned can be
 //     re-attributed or freed.
+#define ATMO_UNPAREN(...) __VA_ARGS__
+inline constexpr FrameProfile kFrameProfiles[] = {
+#define ATMO_FRAME_PROFILE_ROW(op, name, ring_submittable, returns_object, frame) \
+  FrameProfile{ATMO_UNPAREN frame},
+    ATMO_SYSOPS(ATMO_FRAME_PROFILE_ROW)
+#undef ATMO_FRAME_PROFILE_ROW
+};
+#undef ATMO_UNPAREN
+
+// A hostile cast lands on the widest profile, so the runtime check never
+// under-approximates.
+inline constexpr FrameProfile kWidestFrameProfile = {
+    .threads = true, .containers = true, .procs = true, .endpoints = true,
+    .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,
+    .rings = true, .scheduler = true};
+
 constexpr FrameProfile FrameProfileFor(SysOp op) {
-  switch (op) {
-    case SysOp::kYield:
-      return {.threads = true, .scheduler = true};
-    case SysOp::kMmap:
-      return {.containers = true, .address_spaces = true, .pages = true, .free_sets = true};
-    case SysOp::kMunmap:
-      return {.containers = true, .address_spaces = true, .pages = true, .free_sets = true};
-    case SysOp::kNewContainer:
-      return {.containers = true, .pages = true, .free_sets = true};
-    case SysOp::kNewProcess:
-      return {.containers = true, .procs = true, .address_spaces = true, .pages = true,
-              .free_sets = true};
-    case SysOp::kNewThread:
-      return {.threads = true, .containers = true, .procs = true, .pages = true,
-              .free_sets = true, .scheduler = true};
-    case SysOp::kNewEndpoint:
-      return {.threads = true, .containers = true, .endpoints = true, .pages = true,
-              .free_sets = true};
-    case SysOp::kUnbindEndpoint:
-      return {.threads = true, .containers = true, .endpoints = true, .pages = true,
-              .free_sets = true};
-    case SysOp::kSend:
-    case SysOp::kRecv:
-    case SysOp::kCall:
-    case SysOp::kReply:
-      // Everything a delivered payload can reach, except process structure.
-      return {.threads = true, .containers = true, .endpoints = true,
-              .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,
-              .scheduler = true};
-    case SysOp::kExit:
-      return {.threads = true, .containers = true, .procs = true, .endpoints = true,
-              .pages = true, .free_sets = true, .scheduler = true};
-    case SysOp::kKillProcess:
-      return {.threads = true, .containers = true, .procs = true, .endpoints = true,
-              .address_spaces = true, .pages = true, .free_sets = true, .scheduler = true};
-    case SysOp::kKillContainer:
-      return {.threads = true, .containers = true, .procs = true, .endpoints = true,
-              .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,
-              .scheduler = true};
-    case SysOp::kIommuCreateDomain:
-      return {.containers = true, .pages = true, .free_sets = true, .iommu = true};
-    case SysOp::kIommuAttachDevice:
-      return {.iommu = true};
-    case SysOp::kIommuDetachDevice:
-      return {.iommu = true};
-    case SysOp::kIommuMapDma:
-      return {.containers = true, .pages = true, .free_sets = true, .iommu = true};
-    case SysOp::kIommuUnmapDma:
-      return {.containers = true, .pages = true, .free_sets = true, .iommu = true};
-    case SysOp::kRingSetup:
-      return {.rings = true};
-    case SysOp::kRingSubmit:
-      return {.rings = true};
-    case SysOp::kRingEnter:
-      // One checked transition covering a whole drained batch: the union of
-      // every submittable op's profile (everything but the scheduler-only
-      // bits kNewThread already brings in) plus the ring itself. This width
-      // is the amortization tradeoff — per-entry tightness is recovered by
-      // the differential oracle (tests/ring_batch_differential_test.cc).
-      return {.threads = true, .containers = true, .procs = true, .endpoints = true,
-              .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,
-              .rings = true, .scheduler = true};
-    case SysOp::kGrantReturn:
-      // Borrower unmap + lender rights restore: two address spaces and the
-      // page's borrow relabeling. The lender still maps the frame, so the
-      // return can never release it — no container charge or free-set edge.
-      return {.address_spaces = true, .pages = true};
-    case SysOp::kObsQuery:
-      // The tightest profile in the table: the snapshot lands in page byte
-      // contents, which Ψ does not model, so at abstract level the syscall
-      // touches nothing at all. Any component drift is out-of-frame.
-      return {};
-  }
-  // Unreachable for in-range enumerators; a hostile cast lands on the
-  // widest profile so the runtime check never under-approximates.
-  return {.threads = true, .containers = true, .procs = true, .endpoints = true,
-          .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,
-          .rings = true, .scheduler = true};
+  auto index = static_cast<std::size_t>(op);
+  return index < kSysOpCount ? kFrameProfiles[index] : kWidestFrameProfile;
 }
 
 // Checks that every component NOT in `profile` is identical between `pre`

@@ -1337,136 +1337,142 @@ SpecResult KillContainerSpec(const AbstractKernel& pre, const AbstractKernel& po
 // IOMMU
 // ---------------------------------------------------------------------------
 
-SpecResult IommuSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                     const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
+namespace {
+
+// Framing shared by the five IOMMU predicates, after failure atomicity:
+// IOMMU ops never block and leave threads, procs, endpoints, address spaces
+// and the scheduler untouched. Returns the failure, if any.
+std::optional<SpecResult> CheckIommuFraming(const AbstractKernel& pre,
+                                            const AbstractKernel& post,
+                                            const SyscallRet& ret) {
   if (ret.error == SysError::kBlocked) {
     return Fail("IOMMU operations never block");
   }
-  const AbsThread& thread = pre.get_thread(t);
-
-  // Common framing: threads/procs/endpoints/scheduler untouched.
   if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
       !EndpointsUnchangedExcept(pre, post, {}) ||
       !AddressSpacesUnchangedExcept(pre, post, {}) || !SchedulerUnchanged(pre, post)) {
     return Fail("IOMMU op changed unrelated kernel objects");
   }
+  return std::nullopt;
+}
 
-  switch (call.op) {
-    case SysOp::kIommuCreateDomain: {
-      std::uint64_t domain = ret.value;
-      if (pre.iommu_domains.contains(domain) || !post.iommu_domains.contains(domain)) {
-        return Fail("new IOMMU domain identity wrong");
-      }
-      const AbsIommuDomain& d = post.iommu_domains.at(domain);
-      if (d.owner != thread.ctnr || !d.mappings.empty() || !d.devices.empty()) {
-        return Fail("new IOMMU domain fields differ from the specification");
-      }
-      if (!MapUnchangedExcept(pre.iommu_domains, post.iommu_domains,
-                              SpecSet<std::uint64_t>{domain})) {
-        return Fail("create_domain changed other domains");
-      }
-      SpecSet<PagePtr> fresh = NewPages(pre, post);
-      if (fresh.size() != 1) {
-        return Fail("create_domain allocation differs from one root node");
-      }
-      return SpecResult{};
-    }
-    case SysOp::kIommuAttachDevice:
-    case SysOp::kIommuDetachDevice: {
-      if (!PagesUnchangedExcept(pre, post, {}) ||
-          !ContainersUnchangedExcept(pre, post, {})) {
-        return Fail("device attach/detach changed memory state");
-      }
-      // Exactly one domain's device set changed by the one device.
-      std::uint64_t domain = call.op == SysOp::kIommuAttachDevice
-                                 ? call.iommu_domain
-                                 : [&] {
-                                     // detach: find the device's pre domain
-                                     for (const auto& [id, d] : pre.iommu_domains) {
-                                       if (d.devices.contains(call.device)) {
-                                         return id;
-                                       }
-                                     }
-                                     return std::uint64_t{0};
-                                   }();
-      AbsIommuDomain expect = pre.iommu_domains.at(domain);
-      if (call.op == SysOp::kIommuAttachDevice) {
-        expect.devices = expect.devices.insert(call.device);
-      } else {
-        expect.devices = expect.devices.remove(call.device);
-      }
-      if (!(post.iommu_domains.at(domain) == expect) ||
-          !MapUnchangedExcept(pre.iommu_domains, post.iommu_domains,
-                              SpecSet<std::uint64_t>{domain})) {
-        return Fail("device attachment update differs from the specification");
-      }
-      return SpecResult{};
-    }
-    case SysOp::kIommuMapDma: {
-      std::uint64_t domain = call.iommu_domain;
-      const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
-      const AbsIommuDomain& post_d = post.iommu_domains.at(domain);
-      if (!post_d.mappings.contains(call.iova)) {
-        return Fail("DMA window missing after map_dma");
-      }
-      if (!SpecMap<VAddr, MapEntry>::AgreeExceptAt(pre_d.mappings, post_d.mappings,
-                                                   call.iova)) {
-        return Fail("map_dma changed other DMA windows");
-      }
-      // Pin: the target page's count incremented.
-      PagePtr page = post_d.mappings.at(call.iova).addr;
-      if (post.pages.at(page).map_count != pre.pages.at(page).map_count + 1) {
-        return Fail("DMA-mapped page was not pinned");
-      }
-      return SpecResult{};
-    }
-    case SysOp::kIommuUnmapDma: {
-      std::uint64_t domain = call.iommu_domain;
-      const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
-      const AbsIommuDomain& post_d = post.iommu_domains.at(domain);
-      if (post_d.mappings.contains(call.iova) || !pre_d.mappings.contains(call.iova)) {
-        return Fail("DMA window still present after unmap_dma");
-      }
-      if (!SpecMap<VAddr, MapEntry>::AgreeExceptAt(pre_d.mappings, post_d.mappings,
-                                                   call.iova)) {
-        return Fail("unmap_dma changed other DMA windows");
-      }
-      PagePtr page = pre_d.mappings.at(call.iova).addr;
-      if (post.pages.contains(page)) {
-        if (post.pages.at(page).map_count != pre.pages.at(page).map_count - 1) {
-          return Fail("DMA-unmapped page was not unpinned");
-        }
-      } else if (!post.page_is_free(page)) {
-        return Fail("fully released page did not return to the free lists");
-      }
-      return SpecResult{};
-    }
-    case SysOp::kYield:
-    case SysOp::kMmap:
-    case SysOp::kMunmap:
-    case SysOp::kNewContainer:
-    case SysOp::kNewProcess:
-    case SysOp::kNewThread:
-    case SysOp::kNewEndpoint:
-    case SysOp::kUnbindEndpoint:
-    case SysOp::kSend:
-    case SysOp::kRecv:
-    case SysOp::kCall:
-    case SysOp::kReply:
-    case SysOp::kExit:
-    case SysOp::kKillProcess:
-    case SysOp::kKillContainer:
-    case SysOp::kRingSetup:
-    case SysOp::kRingSubmit:
-    case SysOp::kRingEnter:
-    case SysOp::kGrantReturn:
-    case SysOp::kObsQuery:
-      return Fail("not an IOMMU operation");
+}  // namespace
+
+SpecResult IommuCreateDomainSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                                 ThrdPtr t, const SyscallRet& ret) {
+  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
+    return *atomic;
   }
-  return Fail("not an IOMMU operation");
+  if (auto framing = CheckIommuFraming(pre, post, ret)) {
+    return *framing;
+  }
+  const AbsThread& thread = pre.get_thread(t);
+  std::uint64_t domain = ret.value;
+  if (pre.iommu_domains.contains(domain) || !post.iommu_domains.contains(domain)) {
+    return Fail("new IOMMU domain identity wrong");
+  }
+  const AbsIommuDomain& d = post.iommu_domains.at(domain);
+  if (d.owner != thread.ctnr || !d.mappings.empty() || !d.devices.empty()) {
+    return Fail("new IOMMU domain fields differ from the specification");
+  }
+  if (!MapUnchangedExcept(pre.iommu_domains, post.iommu_domains,
+                          SpecSet<std::uint64_t>{domain})) {
+    return Fail("create_domain changed other domains");
+  }
+  SpecSet<PagePtr> fresh = NewPages(pre, post);
+  if (fresh.size() != 1) {
+    return Fail("create_domain allocation differs from one root node");
+  }
+  return SpecResult{};
+}
+
+SpecResult IommuDeviceSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                           const Syscall& call, const SyscallRet& ret, bool attach) {
+  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
+    return *atomic;
+  }
+  if (auto framing = CheckIommuFraming(pre, post, ret)) {
+    return *framing;
+  }
+  if (!PagesUnchangedExcept(pre, post, {}) || !ContainersUnchangedExcept(pre, post, {})) {
+    return Fail("device attach/detach changed memory state");
+  }
+  // Exactly one domain's device set changed by the one device.
+  std::uint64_t domain = attach ? call.iommu_domain
+                                : [&] {
+                                    // detach: find the device's pre domain
+                                    for (const auto& [id, d] : pre.iommu_domains) {
+                                      if (d.devices.contains(call.device)) {
+                                        return id;
+                                      }
+                                    }
+                                    return std::uint64_t{0};
+                                  }();
+  AbsIommuDomain expect = pre.iommu_domains.at(domain);
+  if (attach) {
+    expect.devices = expect.devices.insert(call.device);
+  } else {
+    expect.devices = expect.devices.remove(call.device);
+  }
+  if (!(post.iommu_domains.at(domain) == expect) ||
+      !MapUnchangedExcept(pre.iommu_domains, post.iommu_domains,
+                          SpecSet<std::uint64_t>{domain})) {
+    return Fail("device attachment update differs from the specification");
+  }
+  return SpecResult{};
+}
+
+SpecResult IommuMapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                           const Syscall& call, const SyscallRet& ret) {
+  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
+    return *atomic;
+  }
+  if (auto framing = CheckIommuFraming(pre, post, ret)) {
+    return *framing;
+  }
+  std::uint64_t domain = call.iommu_domain;
+  const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
+  const AbsIommuDomain& post_d = post.iommu_domains.at(domain);
+  if (!post_d.mappings.contains(call.iova)) {
+    return Fail("DMA window missing after map_dma");
+  }
+  if (!SpecMap<VAddr, MapEntry>::AgreeExceptAt(pre_d.mappings, post_d.mappings, call.iova)) {
+    return Fail("map_dma changed other DMA windows");
+  }
+  // Pin: the target page's count incremented.
+  PagePtr page = post_d.mappings.at(call.iova).addr;
+  if (post.pages.at(page).map_count != pre.pages.at(page).map_count + 1) {
+    return Fail("DMA-mapped page was not pinned");
+  }
+  return SpecResult{};
+}
+
+SpecResult IommuUnmapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                             const Syscall& call, const SyscallRet& ret) {
+  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
+    return *atomic;
+  }
+  if (auto framing = CheckIommuFraming(pre, post, ret)) {
+    return *framing;
+  }
+  std::uint64_t domain = call.iommu_domain;
+  const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
+  const AbsIommuDomain& post_d = post.iommu_domains.at(domain);
+  if (post_d.mappings.contains(call.iova) || !pre_d.mappings.contains(call.iova)) {
+    return Fail("DMA window still present after unmap_dma");
+  }
+  if (!SpecMap<VAddr, MapEntry>::AgreeExceptAt(pre_d.mappings, post_d.mappings, call.iova)) {
+    return Fail("unmap_dma changed other DMA windows");
+  }
+  PagePtr page = pre_d.mappings.at(call.iova).addr;
+  if (post.pages.contains(page)) {
+    if (post.pages.at(page).map_count != pre.pages.at(page).map_count - 1) {
+      return Fail("DMA-unmapped page was not unpinned");
+    }
+  } else if (!post.page_is_free(page)) {
+    return Fail("fully released page did not return to the free lists");
+  }
+  return SpecResult{};
 }
 
 // ---------------------------------------------------------------------------
@@ -1669,11 +1675,15 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kKillContainer:
       return KillContainerSpec(pre, post, t, call, ret);
     case SysOp::kIommuCreateDomain:
+      return IommuCreateDomainSpec(pre, post, t, ret);
     case SysOp::kIommuAttachDevice:
+      return IommuDeviceSpec(pre, post, call, ret, /*attach=*/true);
     case SysOp::kIommuDetachDevice:
+      return IommuDeviceSpec(pre, post, call, ret, /*attach=*/false);
     case SysOp::kIommuMapDma:
+      return IommuMapDmaSpec(pre, post, call, ret);
     case SysOp::kIommuUnmapDma:
-      return IommuSpec(pre, post, t, call, ret);
+      return IommuUnmapDmaSpec(pre, post, call, ret);
     case SysOp::kRingSetup:
       return RingSetupSpec(pre, post, t, call, ret);
     case SysOp::kRingSubmit:

@@ -5,7 +5,6 @@
 
 #include "src/obs/alloc_hook.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/op_names.h"
 #include "src/spec/frame_profile.h"
 #include "src/vstd/check.h"
 #include "src/vstd/thread_annotations.h"
@@ -66,7 +65,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   obs::AllocProbe heap_probe;
   // Flight-recorder span for the whole checked syscall; the trailing 'E'
   // event carries the error name (or closes bare on a check violation).
-  obs::ObsSpan sys_span(obs::kCatSyscall, obs::TraceOpLabel(call.op));
+  obs::ObsSpan sys_span(obs::kCatSyscall, SysOpTraceLabel(call.op));
   Capture();
   AbstractKernel pre = Snapshot();
   kernel_->Dispatch(t);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/kernel.h"
+#include "src/spec/frame_profile.h"
 #include "src/verif/invariant_registry.h"
 #include "src/verif/refinement_checker.h"
 #include "src/vstd/check.h"
@@ -590,6 +591,47 @@ TEST_F(KernelTest, IommuDeniesForeignDomains) {
   attach.iommu_domain = d.value;
   attach.device = 7;
   EXPECT_EQ(Step(ot.value, attach).error, SysError::kDenied);
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-range ops: the op arrives in a register, so a hostile caller can
+// name any byte. Every table lookup must answer without reading past the
+// table, and every path must reject the op.
+// ---------------------------------------------------------------------------
+
+TEST_F(KernelTest, OutOfRangeSysOpIsRejectedEverywhere) {
+  constexpr FrameProfile kWidest{.threads = true, .containers = true, .procs = true,
+                                 .endpoints = true, .address_spaces = true, .pages = true,
+                                 .free_sets = true, .iommu = true, .rings = true,
+                                 .scheduler = true};
+  checker_.emplace(&*kernel_,
+                   RefinementChecker::Options{.check_wf_every = 1, .audit_every = 1});
+  Syscall setup;
+  setup.op = SysOp::kRingSetup;
+  setup.ring_entries = 8;
+  SyscallRet ring = Step(thrd_, setup);
+  ASSERT_TRUE(ring.ok());
+
+  for (SysOp op : {static_cast<SysOp>(kSysOpCount), static_cast<SysOp>(255)}) {
+    SCOPED_TRACE(static_cast<int>(op));
+    EXPECT_STREQ(SysOpName(op), "?");
+    EXPECT_STREQ(SysOpTraceLabel(op), "sys.unknown");
+    EXPECT_FALSE(RingSubmittable(op));
+    EXPECT_FALSE(ReturnsObjectPointer(op));
+    EXPECT_EQ(FrameProfileFor(op), kWidest);
+
+    EXPECT_EQ(Step(thrd_, MakeOp(op)).error, SysError::kInvalid);
+
+    Syscall submit;
+    submit.op = SysOp::kRingSubmit;
+    submit.ring_id = ring.value;
+    submit.ring_op = op;
+    EXPECT_EQ(Step(thrd_, submit).error, SysError::kInvalid);
+    EXPECT_EQ(kernel_->RingPushDirect(thrd_, submit).error, SysError::kInvalid);
+  }
+  EXPECT_EQ(checker_->stats().audit_passes, checker_->steps_checked());
+  InvResult wf = kernel_->TotalWf();
+  EXPECT_TRUE(wf.ok) << wf.detail;
 }
 
 // ---------------------------------------------------------------------------

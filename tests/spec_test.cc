@@ -9,6 +9,9 @@
 // post state (or the return value) in a targeted way and assert the spec
 // fails.
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/core/kernel.h"
@@ -354,6 +357,32 @@ TEST(FrameProfileTest, TablePropertiesHold) {
                    SysOp::kNewEndpoint, SysOp::kIommuCreateDomain, SysOp::kIommuMapDma}) {
     EXPECT_EQ(FrameProfileFor(op).pages, FrameProfileFor(op).free_sets)
         << "op " << SysOpName(op);
+  }
+
+  // Whole-table properties, over every row. Names are distinct and
+  // non-empty, each trace label is "sys." + name, and kRingEnter's profile
+  // covers every op a ring can drain, plus the ring itself.
+  auto within = [](const FrameProfile& a, const FrameProfile& b) {
+    return (!a.threads || b.threads) && (!a.containers || b.containers) &&
+           (!a.procs || b.procs) && (!a.endpoints || b.endpoints) &&
+           (!a.address_spaces || b.address_spaces) && (!a.pages || b.pages) &&
+           (!a.free_sets || b.free_sets) && (!a.iommu || b.iommu) && (!a.rings || b.rings) &&
+           (!a.scheduler || b.scheduler);
+  };
+  const FrameProfile ring_enter = FrameProfileFor(SysOp::kRingEnter);
+  EXPECT_TRUE(ring_enter.rings);
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < kSysOpCount; ++i) {
+    SysOp op = static_cast<SysOp>(i);
+    std::string name = SysOpName(op);
+    EXPECT_FALSE(name.empty()) << "op " << i;
+    EXPECT_NE(name, "?") << "op " << i;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    EXPECT_EQ(SysOpTraceLabel(op), "sys." + name);
+    if (RingSubmittable(op)) {
+      EXPECT_TRUE(within(FrameProfileFor(op), ring_enter)) << "op " << name;
+      EXPECT_FALSE(FrameProfileFor(op).rings) << "op " << name;
+    }
   }
 }
 

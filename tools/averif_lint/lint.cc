@@ -20,8 +20,6 @@ namespace atmo::lint {
 std::vector<Finding> RunAllRules(const Options& options) {
   std::vector<Finding> findings;
   Project project = Project::Load(options.root);
-  RuleSpecCoverage(options, &findings);
-  RuleTraceOpName(options, &findings);
   RuleDirtyLog(options, project, &findings);
   RuleLockstepIndex(options, &findings);
   RuleHotPathAlloc(options, project, &findings);
@@ -30,7 +28,6 @@ std::vector<Finding> RunAllRules(const Options& options) {
   RuleLockDiscipline(options, project, &findings);
   RuleGrantLifetime(options, project, &findings);
   for (const SourceFile& f : project.files()) {
-    RuleSysOpSwitchDefault(f, &findings);
     const std::string& rel = f.rel_path;
     if (rel.rfind("src/spec/", 0) == 0 && rel.size() > 3 &&
         rel.compare(rel.size() - 3, 3, ".cc") == 0) {

@@ -3,20 +3,17 @@
 // The refinement harness only catches discipline drift at runtime, and only
 // on traces that happen to hit it. This tool checks the pairing rules the
 // codebase relies on *statically*, the way Verus's linear ghost types make
-// spec/impl drift a compile error. Per-function rules (DESIGN.md §11):
+// spec/impl drift a compile error. Totality over SysOp is not among them:
+// every per-op column is generated from one table (ATMO_SYSOPS in
+// src/core/syscall.h), and -Werror=switch/-Werror=switch-enum make the two
+// hand-written dispatchers fail to compile when they miss an op.
+// Per-function rules (DESIGN.md §11):
 //
-//   spec-coverage        every SysOp enumerator has a case in the spec
-//                        dispatcher, the kernel dispatch, SysOpName and the
-//                        frame-condition table (and none is dead)
-//   trace-op-name        every SysOp enumerator has a label in the obs
-//                        trace-name table (TraceOpLabel), so no syscall
-//                        traces as "sys.unknown"
 //   dirty-log            every public mutating method of the logged
 //                        subsystems records into its dirty log, directly or
 //                        via a callee that does (call-graph transitive)
 //   lockstep-index       every hashed index member has a Wf cross-check
 //                        clause and a CloneForVerification rebuild
-//   sysop-switch-default no `default:` label in a switch over SysOp
 //   error-path           spec predicates taking the syscall return value
 //                        establish failure atomicity before any Fail(...)
 //

@@ -126,12 +126,15 @@ SourceFile LoadFile(const std::string& root, const std::string& rel_path) {
     }
     std::size_t first = SkipWs(f.code, line_begin);
     bool directive = continuation || (first < i && f.code[first] == '#');
+    // The continuation backslash is read from the raw text: a block comment
+    // spanning lines of a #define (the syscall table's row notes) blanks it
+    // from `code`, but the preprocessor still splices the line.
     std::size_t last = i;
     while (last > line_begin &&
-           std::isspace(static_cast<unsigned char>(f.code[last - 1])) != 0) {
+           std::isspace(static_cast<unsigned char>(f.raw[last - 1])) != 0) {
       --last;
     }
-    continuation = directive && last > line_begin && f.code[last - 1] == '\\';
+    continuation = directive && last > line_begin && f.raw[last - 1] == '\\';
     if (directive) {
       for (std::size_t j = line_begin; j < i; ++j) {
         f.code[j] = ' ';
@@ -287,41 +290,6 @@ std::optional<Range> FunctionBody(const SourceFile& f, const std::string& func) 
     return Range{j, bclose};
   }
   return std::nullopt;
-}
-
-std::vector<std::string> ParseEnumerators(const SourceFile& f, const std::string& enum_name) {
-  std::vector<std::string> out;
-  for (std::size_t pos : FindIdent(f.code, enum_name)) {
-    std::size_t i = pos + enum_name.size();
-    while (i < f.code.size() && f.code[i] != '{' && f.code[i] != ';') {
-      ++i;
-    }
-    if (i >= f.code.size() || f.code[i] != '{') {
-      continue;
-    }
-    std::size_t close = MatchBrace(f.code, i);
-    if (close == std::string::npos) {
-      continue;
-    }
-    std::size_t item_start = i + 1;
-    for (std::size_t j = i + 1; j < close; ++j) {
-      if (f.code[j] == ',' || f.code[j] == '}') {
-        std::size_t k = SkipWs(f.code, item_start);
-        std::size_t e = k;
-        while (e < j && IsIdentChar(f.code[e])) {
-          ++e;
-        }
-        if (e > k) {
-          out.push_back(f.code.substr(k, e - k));
-        }
-        item_start = j + 1;
-      }
-    }
-    if (!out.empty()) {
-      return out;
-    }
-  }
-  return out;
 }
 
 std::vector<std::string> TreeFiles(const std::string& root) {
