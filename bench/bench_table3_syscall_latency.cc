@@ -19,6 +19,8 @@
 //                frame array per map; the segregated allocator pops the one
 //                coalescible group from its mergeable stack. The freed unit
 //                is re-split (untimed) so every round re-runs the miss path.
+//                The machine sizes are timed in interleaved passes, 60
+//                blocks per size in quick mode and 200 in full mode.
 //   alloc_1g   — exhaustion fallback: every 1G region is fragmented, so
 //                AllocPage1G must fail. The linear allocator proves that by
 //                probing all regions (O(frames)); the segregated allocator
@@ -45,6 +47,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -257,92 +260,146 @@ double CapKernelMapPage() {
 //
 // Setup leaves exactly one coalescible 2M group (the topmost); each timed
 // mmap must rebuild a 2M unit from 4K frames. The untimed reset unmaps and
-// re-splits the unit so the next round takes the miss path again.
-double AtmoMap2MFresh(std::uint64_t frames) {
-  BootConfig config;
-  config.frames = frames;
-  config.reserved_frames = 16;
-  Kernel kernel = std::move(*Kernel::Boot(config));
-  auto ctnr = kernel.BootCreateContainer(kernel.root_container(), frames - 64, ~0ull);
-  auto proc = kernel.BootCreateProcess(ctnr.value);
-  auto thrd = kernel.BootCreateThread(proc.value);
+// re-splits the unit so the next round takes the miss path again. The
+// kernel stays alive between blocks, so the gate can interleave machine
+// sizes (see Map2MFlatness).
+class Map2MFresh {
+ public:
+  explicit Map2MFresh(std::uint64_t frames) : kernel_(Boot(frames)) {
+    auto ctnr = kernel_.BootCreateContainer(kernel_.root_container(), frames - 64, ~0ull);
+    proc_ = kernel_.BootCreateProcess(ctnr.value).value;
+    thrd_ = kernel_.BootCreateThread(proc_).value;
 
-  MapEntryPerm rw{.writable = true, .user = true, .no_execute = true};
-  auto mmap4k = [&](VAddr va) {
+    // The 2M mapping goes at kBigVa. Mapping a 4K helper page in the
+    // adjacent PD slot materializes the PML4/PDPT/PD chain without
+    // occupying kBigVa's own PD entry, so the timed op never allocates
+    // table nodes.
+    Mmap4K(kBigVa + kPageSize2M);
+
+    // Fill phase: frames pop lowest-first, so mapping until ~one group of
+    // frames remains leaves exactly the topmost 2M group untouched (free).
+    std::vector<VAddr> fill;
+    for (VAddr va = 0x10000000ull;
+         kernel_.alloc().FreeCount(PageSize::k4K) > kFramesPer2M + 8; va += kPageSize4K) {
+      if (!Mmap4K(va).ok()) {
+        break;
+      }
+      fill.push_back(va);
+    }
+    // Fragmentation phase: keep the highest-PA mapping in each 2M group (so
+    // a linear scan walks deep into the group before hitting it), unmap the
+    // rest. Every group below the top stays unmergeable.
+    std::map<std::uint64_t, std::pair<PagePtr, VAddr>> keep;  // group -> (pa, va)
+    std::vector<std::pair<VAddr, std::uint64_t>> va_group;
+    for (VAddr va : fill) {
+      PagePtr pa = kernel_.vm().Resolve(proc_, va)->addr;
+      std::uint64_t group = pa / kPageSize2M;
+      va_group.emplace_back(va, group);
+      auto it = keep.find(group);
+      if (it == keep.end() || pa > it->second.first) {
+        keep[group] = {pa, va};
+      }
+    }
+    for (const auto& [va, group] : va_group) {
+      if (keep[group].second != va) {
+        Munmap(va, PageSize::k4K);
+      }
+    }
+
+    int warmup = static_cast<int>(bench::ScaledOps(40));
+    for (int i = 0; i < warmup; ++i) {
+      Timed();
+      Reset();
+    }
+  }
+
+  // One block: cycles per op over `per_block` timed maps.
+  double Block(int per_block) {
+    std::uint64_t total = 0;
+    for (int i = 0; i < per_block; ++i) {
+      std::uint64_t start = ReadCycles();
+      Timed();
+      total += ReadCycles() - start;
+      Reset();
+    }
+    return static_cast<double>(total) / per_block;
+  }
+
+ private:
+  static constexpr VAddr kBigVa = 0x80000000ull;
+  static constexpr MapEntryPerm kRw{.writable = true, .user = true, .no_execute = true};
+
+  static Kernel Boot(std::uint64_t frames) {
+    BootConfig config;
+    config.frames = frames;
+    config.reserved_frames = 16;
+    return std::move(*Kernel::Boot(config));
+  }
+
+  SyscallRet Mmap4K(VAddr va) {
     Syscall c;
     c.op = SysOp::kMmap;
     c.va_range = VaRange{va, 1, PageSize::k4K};
-    c.map_perm = rw;
-    return kernel.Step(thrd.value, c);
-  };
-  auto munmap = [&](VAddr va, PageSize size) {
+    c.map_perm = kRw;
+    return kernel_.Step(thrd_, c);
+  }
+
+  void Munmap(VAddr va, PageSize size) {
     Syscall c;
     c.op = SysOp::kMunmap;
     c.va_range = VaRange{va, 1, size};
-    kernel.Step(thrd.value, c);
-  };
-
-  // The 2M mapping goes at kBigVa. Mapping a 4K helper page in the adjacent
-  // PD slot materializes the PML4/PDPT/PD chain without occupying kBigVa's
-  // own PD entry, so the timed op never allocates table nodes.
-  constexpr VAddr kBigVa = 0x80000000ull;
-  mmap4k(kBigVa + kPageSize2M);
-
-  // Fill phase: frames pop lowest-first, so mapping until ~one group of
-  // frames remains leaves exactly the topmost 2M group untouched (free).
-  std::vector<VAddr> fill;
-  for (VAddr va = 0x10000000ull;
-       kernel.alloc().FreeCount(PageSize::k4K) > kFramesPer2M + 8; va += kPageSize4K) {
-    if (!mmap4k(va).ok()) {
-      break;
-    }
-    fill.push_back(va);
-  }
-  // Fragmentation phase: keep the highest-PA mapping in each 2M group (so a
-  // linear scan walks deep into the group before hitting it), unmap the
-  // rest. Every group below the top stays unmergeable.
-  std::map<std::uint64_t, std::pair<PagePtr, VAddr>> keep;  // group -> (pa, va)
-  std::vector<std::pair<VAddr, std::uint64_t>> va_group;
-  for (VAddr va : fill) {
-    PagePtr pa = kernel.vm().Resolve(proc.value, va)->addr;
-    std::uint64_t group = pa / kPageSize2M;
-    va_group.emplace_back(va, group);
-    auto it = keep.find(group);
-    if (it == keep.end() || pa > it->second.first) {
-      keep[group] = {pa, va};
-    }
-  }
-  for (const auto& [va, group] : va_group) {
-    if (keep[group].second != va) {
-      munmap(va, PageSize::k4K);
-    }
+    kernel_.Step(thrd_, c);
   }
 
-  Syscall mm2;
-  mm2.op = SysOp::kMmap;
-  mm2.va_range = VaRange{kBigVa, 1, PageSize::k2M};
-  mm2.map_perm = rw;
-
-  int warmup = static_cast<int>(bench::ScaledOps(40));
-  int samples = static_cast<int>(bench::ScaledOps(100));
-  auto timed = [&] {
+  void Timed() {
+    Syscall c;
+    c.op = SysOp::kMmap;
+    c.va_range = VaRange{kBigVa, 1, PageSize::k2M};
+    c.map_perm = kRw;
     ModeSwitch();
-    SyscallRet ret = kernel.Step(thrd.value, mm2);
-    if (!ret.ok()) {
+    if (!kernel_.Step(thrd_, c).ok()) {
       std::fprintf(stderr, "map_2m: fresh 2M mmap failed unexpectedly\n");
       std::exit(1);
     }
-  };
-  auto reset = [&] {
-    PagePtr pa = kernel.vm().Resolve(proc.value, kBigVa)->addr;
-    munmap(kBigVa, PageSize::k2M);
-    kernel.alloc_mut().Split2M(pa);  // back to 512 free 4K frames
-  };
-  for (int i = 0; i < warmup; ++i) {
-    timed();
-    reset();
   }
-  return MedianPerOp(samples, 5, timed, reset);
+
+  void Reset() {
+    PagePtr pa = kernel_.vm().Resolve(proc_, kBigVa)->addr;
+    Munmap(kBigVa, PageSize::k2M);
+    kernel_.alloc_mut().Split2M(pa);  // back to 512 free 4K frames
+  }
+
+  Kernel kernel_;
+  ProcPtr proc_ = kNullPtr;
+  ThrdPtr thrd_ = kNullPtr;
+};
+
+// map_2m medians at every kernel size, for the flatness gate. Host speed
+// drifts over a run, and a gate that timed the sizes one after another
+// read that drift as growth. So the blocks are taken in passes over every
+// size, ascending then descending (4K, 16K, 64K, 64K, 16K, 4K frames): each
+// pass adds two blocks to every size's median, at mirrored times.
+std::vector<double> Map2MFlatness() {
+  std::vector<std::unique_ptr<Map2MFresh>> machines;
+  for (std::uint64_t frames : kKernelSizes) {
+    machines.push_back(std::make_unique<Map2MFresh>(frames));
+  }
+  const int passes = Quick() ? 30 : 100;
+  constexpr int kPerBlock = 5;
+  std::vector<std::vector<double>> blocks(machines.size());
+  for (int pass = 0; pass < passes; ++pass) {
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+      blocks[i].push_back(machines[i]->Block(kPerBlock));
+    }
+    for (std::size_t i = machines.size(); i-- > 0;) {
+      blocks[i].push_back(machines[i]->Block(kPerBlock));
+    }
+  }
+  std::vector<double> medians;
+  for (std::vector<double>& size_blocks : blocks) {
+    medians.push_back(Median(std::move(size_blocks)));
+  }
+  return medians;
 }
 
 // --- Bare allocator: 1G allocation against a fully fragmented pool ---
@@ -472,8 +529,8 @@ int main() {
     map_4k.frames.push_back(frames);
     map_4k.medians.push_back(AtmoMap4K(frames));
     map_2m.frames.push_back(frames);
-    map_2m.medians.push_back(AtmoMap2MFresh(frames));
   }
+  map_2m.medians = Map2MFlatness();
   ops.push_back(std::move(call_reply));
   ops.push_back(std::move(map_4k));
   ops.push_back(std::move(map_2m));

@@ -266,7 +266,7 @@ SyscallRet Kernel::SysMunmap(ThrdPtr t, const Syscall& call) {
   }
   const PageTable& table = vm_.TableOf(proc);
   for (std::uint64_t i = 0; i < range.count; ++i) {
-    if (!table.mapping(range.size).contains(range.At(i))) {
+    if (!table.MappingAt(range.At(i), range.size).has_value()) {
       return Err(SysError::kInvalid);
     }
   }
@@ -362,21 +362,21 @@ bool Kernel::ResolveOutboundPayload(ThrdPtr sender, IpcPayload* payload, SysErro
   if (payload->page.has_value()) {
     VAddr va = payload->page->page;  // sender virtual address on input
     const PageTable& table = vm_.TableOf(thread.owning_proc);
-    if (!table.mapping(payload->page->size).contains(va)) {
+    std::optional<MapEntry> entry = table.MappingAt(va, payload->page->size);
+    if (!entry.has_value()) {
       *error = SysError::kInvalid;
       return false;
     }
-    MapEntry entry = table.mapping(payload->page->size).at(va);
     // Rights cannot be amplified through a grant.
-    if ((payload->page->perm.writable && !entry.perm.writable) ||
-        (!payload->page->perm.no_execute && entry.perm.no_execute)) {
+    if ((payload->page->perm.writable && !entry->perm.writable) ||
+        (!payload->page->perm.no_execute && entry->perm.no_execute)) {
       *error = SysError::kDenied;
       return false;
     }
     // A borrowed page is never grantable, in any mode: neither the lender
     // (downgraded) nor the borrower (holding a loan) may fan it out — a
     // live borrow has exactly its two recorded mappings.
-    if (vm_.IsBorrowed(entry.addr)) {
+    if (vm_.IsBorrowed(entry->addr)) {
       *error = SysError::kDenied;
       return false;
     }
@@ -385,7 +385,7 @@ bool Kernel::ResolveOutboundPayload(ThrdPtr sender, IpcPayload* payload, SysErro
       // a single CPU mapping (the sender's). This is what rejects
       // double-grants — after a borrow the count is 2 and the record is
       // live; after a move the sender no longer maps the page at all.
-      if (alloc_.MapCount(entry.addr) != 1) {
+      if (alloc_.MapCount(entry->addr) != 1) {
         *error = SysError::kDenied;
         return false;
       }
@@ -395,8 +395,8 @@ bool Kernel::ResolveOutboundPayload(ThrdPtr sender, IpcPayload* payload, SysErro
         return false;
       }
     }
-    payload->page->src_va = va;        // sender side, needed again at Deliver
-    payload->page->page = entry.addr;  // physical from here on
+    payload->page->src_va = va;         // sender side, needed again at Deliver
+    payload->page->page = entry->addr;  // physical from here on
   }
 
   if (payload->endpoint.has_value()) {
@@ -928,7 +928,7 @@ SyscallRet Kernel::SysIommuMapDma(ThrdPtr t, const Syscall& call) {
     return Err(SysError::kInvalid);
   }
   const PageTable& table = vm_.TableOf(thread.owning_proc);
-  if (!table.mapping(entry->size).contains(call.dma_va)) {
+  if (!table.MappingAt(call.dma_va, entry->size).has_value()) {
     return Err(SysError::kInvalid);  // must reference the mapping base
   }
   if (iommu_.CanMapDma(domain, call.iova, entry->size) != MapError::kOk) {

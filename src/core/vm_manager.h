@@ -4,7 +4,8 @@
 // frame permissions of every *mapped* user page. The map-count bookkeeping
 // in the page allocator is the authority on sharing; this subsystem holds
 // each mapped frame's linear permission until the last unmapping returns it
-// to the allocator.
+// to the allocator. `tables_` is the only proc -> table record, and each
+// table's mapping store is the only record of its address space.
 
 #ifndef ATMO_SRC_CORE_VM_MANAGER_H_
 #define ATMO_SRC_CORE_VM_MANAGER_H_
@@ -46,7 +47,7 @@ class VmManager {
   };
   DestroyStats DestroyAddressSpace(PageAllocator* alloc, ProcPtr proc);
 
-  bool HasAddressSpace(ProcPtr proc) const { return table_index_.count(proc) != 0; }
+  bool HasAddressSpace(ProcPtr proc) const { return tables_.count(proc) != 0; }
   const PageTable& TableOf(ProcPtr proc) const;
   SpecMap<VAddr, MapEntry> AddressSpaceOf(ProcPtr proc) const;
   std::optional<MapEntry> Resolve(ProcPtr proc, VAddr va) const;
@@ -126,10 +127,10 @@ class VmManager {
   // mapped set, which Kernel::MemorySafetyWf checks.
   bool HoldsFrame(PagePtr page) const { return frame_perms_.count(page) != 0; }
   std::size_t HeldFrameCount() const { return frame_perms_.size(); }
-  // The index mirrors the tables, every table is structurally well-formed,
-  // every mapping targets a mapped frame, and every borrow record matches
-  // its two mappings. Held frames == mapped pages and exact map counts
-  // (CPU + IOMMU references) are global: Kernel::MemorySafetyWf.
+  // Every table is structurally well-formed, every mapping targets a
+  // mapped frame, and every borrow record matches its two mappings. Held
+  // frames == mapped pages and exact map counts (CPU + IOMMU references)
+  // are global: Kernel::MemorySafetyWf.
   bool Wf(const PhysMem& mem, const PageAllocator& alloc) const;
 
   const std::map<ProcPtr, PageTable>& tables() const { return tables_; }
@@ -140,24 +141,21 @@ class VmManager {
   void DrainDirtyInto(std::set<ProcPtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
   VmManager CloneForVerification(PhysMem* mem) const;
-  // Pooled clone: overwrite `out` in place, reusing its table map nodes,
-  // per-table storage, and index buckets (DESIGN.md §14).
+  // Pooled clone: overwrite `out` in place, reusing its table map nodes
+  // and per-table storage (DESIGN.md §14).
   void CloneForVerificationInto(VmManager* out, PhysMem* mem) const;
 
  private:
   friend struct VmManagerTestPeer;
 
-  // Hashed-index lookups used by every syscall; nullptr when absent.
+  // Table lookup used by every syscall; nullptr when absent.
   PageTable* FindTable(ProcPtr proc);
   const PageTable* FindTable(ProcPtr proc) const;
 
   PhysMem* mem_;
+  // One table per process. Ordered, so ProcPtr-keyed iteration is
+  // deterministic; a lookup is O(log processes).
   std::map<ProcPtr, PageTable> tables_;
-  // Hashed proc -> table index, maintained in lockstep with tables_ by
-  // CreateAddressSpace/DestroyAddressSpace (its only mutation points).
-  // std::map nodes are pointer-stable, so the raw pointers stay valid until
-  // the entry itself is erased. Wf() cross-checks index vs tables_.
-  std::unordered_map<ProcPtr, PageTable*> table_index_;
   // Flat: all mapped user frames. Hashed — only ever probed by frame base.
   std::unordered_map<PagePtr, FramePerm> frame_perms_;
   // Live read-only borrows, one per page. Every entry matches two live

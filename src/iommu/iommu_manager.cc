@@ -8,13 +8,13 @@
 namespace atmo {
 
 PageTable* IommuManager::FindDomain(IommuDomainId domain) {
-  auto it = domain_index_.find(domain);
-  return it == domain_index_.end() ? nullptr : it->second;
+  auto it = domains_.find(domain);
+  return it == domains_.end() ? nullptr : &it->second;
 }
 
 const PageTable* IommuManager::FindDomain(IommuDomainId domain) const {
-  auto it = domain_index_.find(domain);
-  return it == domain_index_.end() ? nullptr : it->second;
+  auto it = domains_.find(domain);
+  return it == domains_.end() ? nullptr : &it->second;
 }
 
 IommuDomainId IommuManager::CreateDomain(PageAllocator* alloc, CtnrPtr ctnr) {
@@ -24,10 +24,7 @@ IommuDomainId IommuManager::CreateDomain(PageAllocator* alloc, CtnrPtr ctnr) {
   }
   IommuDomainId id = next_domain_++;
   // averif-lint: allow(hot-path-alloc) — IOMMU domain creation is a cold control-plane op
-  auto [it, inserted] = domains_.emplace(id, std::move(*table));
-  ATMO_CHECK(inserted, "domains_ and domain_index_ out of lockstep");
-  // averif-lint: allow(hot-path-alloc) — IOMMU domain creation is a cold control-plane op
-  domain_index_.emplace(id, &it->second);
+  domains_.emplace(id, std::move(*table));
   dirty_.Mark(id);
   return id;
 }
@@ -47,26 +44,24 @@ void IommuManager::DestroyDomain(PageAllocator* alloc, IommuDomainId domain) {
     table->Unmap(iova);
   }
   table->Destroy(alloc);
-  domain_index_.erase(domain);
   domains_.erase(domain);
-  owner_overrides_.erase(domain);
   dirty_.Mark(domain);
 }
 
 CtnrPtr IommuManager::DomainOwner(IommuDomainId domain) const {
   const PageTable* table = FindDomain(domain);
   ATMO_CHECK(table != nullptr, "DomainOwner of unknown domain");
-  auto ov = owner_overrides_.find(domain);
-  return ov != owner_overrides_.end() ? ov->second : table->owner();
+  return table->owner();
 }
 
 void IommuManager::SetDomainOwner(IommuDomainId domain, CtnrPtr ctnr) {
-  ATMO_CHECK(FindDomain(domain) != nullptr, "SetDomainOwner of unknown domain");
-  // PageTable keeps its owner immutable; rebuild ownership by re-tagging
-  // node pages at the allocator and replacing the table's owner via clone is
-  // overkill — the table owner field is advisory; quota attribution is the
-  // kernel's. We track the override here.
-  owner_overrides_[domain] = ctnr;
+  PageTable* table = FindDomain(domain);
+  ATMO_CHECK(table != nullptr, "SetDomainOwner of unknown domain");
+  // The table's owner is the domain's only owner record. EnsureChild tags
+  // every node a later MapDma allocates with it, so it must name the
+  // container the kernel charges for those nodes. The caller re-tags the
+  // existing node pages and moves their charge.
+  table->SetOwner(ctnr);
   dirty_.Mark(domain);
 }
 
@@ -146,9 +141,7 @@ SpecSet<PagePtr> IommuManager::PageClosure() const {
 SpecSet<IommuDomainId> IommuManager::DomainsOwnedBy(CtnrPtr ctnr) const {
   SpecSet<IommuDomainId> out;
   for (const auto& [id, table] : domains_) {
-    auto ov = owner_overrides_.find(id);
-    CtnrPtr owner = ov != owner_overrides_.end() ? ov->second : table.owner();
-    if (owner == ctnr) {
+    if (table.owner() == ctnr) {
       out.add(id);
     }
   }
@@ -177,17 +170,6 @@ std::uint64_t IommuManager::FreshNodesForDma(IommuDomainId domain, VAddr iova,
 }
 
 bool IommuManager::Wf() const {
-  // The hashed index mirrors domains_ exactly: same domain set, and every
-  // entry points at the authoritative map node.
-  if (domain_index_.size() != domains_.size()) {
-    return false;
-  }
-  for (const auto& [id, table] : domains_) {
-    auto it = domain_index_.find(id);
-    if (it == domain_index_.end() || it->second != &table) {
-      return false;
-    }
-  }
   for (const auto& [id, table] : domains_) {
     if (!table.StructureWf(*mem_)) {
       return false;
@@ -198,14 +180,6 @@ bool IommuManager::Wf() const {
       return false;
     }
   }
-  // Ownership overrides are an index over domains_ too: every override key
-  // must reference a live domain, else a stale entry could resurrect a dead
-  // domain's ownership in DomainsOwnedBy.
-  for (const auto& [id, owner] : owner_overrides_) {
-    if (domains_.find(id) == domains_.end()) {
-      return false;
-    }
-  }
   return true;
 }
 
@@ -213,13 +187,13 @@ IommuManager IommuManager::CloneForVerification(PhysMem* mem) const {
   IommuManager out(mem);
   out.next_domain_ = next_domain_;
   for (const auto& [id, table] : domains_) {
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture; steady state uses CloneForVerificationInto over pooled state
-    auto [it, inserted] = out.domains_.emplace(id, table.CloneForVerification(mem));
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture (see above)
-    out.domain_index_.emplace(id, &it->second);
+    // averif-lint: allow(hot-path-alloc) — no ring drain runs a fresh clone. The
+    // finding's last edge is a may-call: VmManager::CloneForVerificationInto's
+    // `perm.CloneForVerification()` copies a FramePerm, a receiver the call graph
+    // cannot type, so it links every CloneForVerification, this one included.
+    out.domains_.emplace(id, table.CloneForVerification(mem));
   }
   out.device_domains_ = device_domains_;
-  out.owner_overrides_ = owner_overrides_;
   return out;
 }
 
@@ -244,23 +218,7 @@ void IommuManager::CloneForVerificationInto(IommuManager* out, PhysMem* mem) con
     }
   }
   out->domains_.erase(dit, out->domains_.end());
-  // Rebuild the hashed lockstep index (domain_index_) against the reused
-  // nodes. Prune-then-upsert: clear()+emplace would destroy and reallocate
-  // every index node per refill; overwriting live keys in place keeps the
-  // steady-state refill allocation-free. owner_overrides_ copy-assign
-  // reuses destination nodes.
-  for (auto iit = out->domain_index_.begin(); iit != out->domain_index_.end();) {
-    if (out->domains_.find(iit->first) == out->domains_.end()) {
-      iit = out->domain_index_.erase(iit);
-    } else {
-      ++iit;
-    }
-  }
-  for (auto& [id, table] : out->domains_) {
-    out->domain_index_[id] = &table;
-  }
   out->device_domains_ = device_domains_;
-  out->owner_overrides_ = owner_overrides_;
   out->dirty_.Reset();  // clones start with an empty mutation log
 }
 

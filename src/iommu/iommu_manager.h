@@ -8,7 +8,9 @@
 // reaching memory, which is what lets Atmosphere distrust devices (§5).
 //
 // Domains are owned by containers and charged against their quota; an IOMMU
-// identifier can be delegated over IPC (IommuGrant).
+// identifier can be delegated over IPC (IommuGrant). Each fact has one
+// store: `domains_` is the only domain -> table record, and a domain's owner
+// is its table's owner, the tag every table node is allocated under.
 
 #ifndef ATMO_SRC_IOMMU_IOMMU_MANAGER_H_
 #define ATMO_SRC_IOMMU_IOMMU_MANAGER_H_
@@ -17,7 +19,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "src/hw/mmu.h"
 #include "src/hw/phys_mem.h"
@@ -50,7 +51,9 @@ class IommuManager {
   // frees the table pages.
   void DestroyDomain(PageAllocator* alloc, IommuDomainId domain);
 
-  bool DomainExists(IommuDomainId domain) const { return domain_index_.count(domain) != 0; }
+  bool DomainExists(IommuDomainId domain) const { return domains_.count(domain) != 0; }
+  // A domain's owner is its table's owner: the container charged for the
+  // table's nodes, including those a later MapDma allocates.
   CtnrPtr DomainOwner(IommuDomainId domain) const;
   // Re-attributes a domain (container kill harvesting / IPC delegation).
   void SetDomainOwner(IommuDomainId domain, CtnrPtr ctnr);
@@ -97,28 +100,21 @@ class IommuManager {
   std::uint64_t FreshNodesForDma(IommuDomainId domain, VAddr iova, PageSize size) const;
 
   IommuManager CloneForVerification(PhysMem* mem) const;
-  // Pooled clone: overwrite `out` in place, reusing its domain map nodes,
-  // per-table storage, and index buckets (DESIGN.md §14).
+  // Pooled clone: overwrite `out` in place, reusing its domain map nodes
+  // and per-table storage (DESIGN.md §14).
   void CloneForVerificationInto(IommuManager* out, PhysMem* mem) const;
 
  private:
-  // Hashed-index lookups used by every DMA syscall; nullptr when absent.
+  // Domain lookup used by every DMA syscall; nullptr when absent.
   PageTable* FindDomain(IommuDomainId domain);
   const PageTable* FindDomain(IommuDomainId domain) const;
 
   PhysMem* mem_;
   Mmu mmu_;
   IommuDomainId next_domain_ = 1;
+  // One translation table per domain; the table also records the owner.
   std::map<IommuDomainId, PageTable> domains_;
-  // Hashed domain -> table index, maintained in lockstep with domains_ by
-  // CreateDomain/DestroyDomain (its only mutation points). std::map nodes
-  // are pointer-stable, so the raw pointers stay valid until the entry is
-  // erased. Wf() cross-checks index vs domains_.
-  std::unordered_map<IommuDomainId, PageTable*> domain_index_;
   std::map<DeviceId, IommuDomainId> device_domains_;
-  // Ownership re-attribution after container kills / delegation; overrides
-  // the creating table's owner tag. Hashed — only ever probed by domain id.
-  std::unordered_map<IommuDomainId, CtnrPtr> owner_overrides_;
   DirtyLog dirty_;
 };
 

@@ -150,9 +150,7 @@ MapError PageTable::Map(PageAllocator* alloc, VAddr va, PAddr pa, PageSize size,
   }
 
   WriteEntry(node, leaf_index, MakePte(pa, perm, /*leaf_superpage=*/leaf > 1));
-  MapEntry entry{.addr = pa, .size = size, .perm = perm};
-  MutableMapping(size).set(va, entry);
-  va_index_[va] = entry;
+  mappings_.set(va, MapEntry{.addr = pa, .size = size, .perm = perm});
   return MapError::kOk;
 }
 
@@ -215,14 +213,13 @@ std::uint64_t PageTable::FreshNodesFor(VAddr va, PageSize size,
 }
 
 std::optional<MapEntry> PageTable::Unmap(VAddr va) {
-  auto indexed = va_index_.find(va);
-  if (indexed == va_index_.end()) {
+  const MapEntry* found = mappings_.find(va);
+  if (found == nullptr) {
     return std::nullopt;
   }
-  PageSize size = indexed->second.size;
-  ATMO_CHECK(mapping(size).contains(va), "va_index_ refers to a mapping the ghost maps lack");
+  MapEntry out = *found;
 
-  int leaf = LeafLevel(size);
+  int leaf = LeafLevel(out.size);
   PAddr node = cr3_;
   for (int level = 4; level > leaf; --level) {
     std::uint64_t pte = ReadEntry(node, VaIndex(va, level));
@@ -234,62 +231,28 @@ std::optional<MapEntry> PageTable::Unmap(VAddr va) {
   std::uint64_t pte = ReadEntry(node, leaf_index);
   ATMO_CHECK((pte & kPtePresent) != 0, "ghost map refers to an absent leaf");
   WriteEntry(node, leaf_index, 0);
-
-  MapEntry out = MutableMapping(size).at(va);
-  MutableMapping(size).erase(va);
-  va_index_.erase(va);
+  mappings_.erase(va);
   return out;
 }
 
 std::optional<MapEntry> PageTable::Resolve(VAddr va) const {
-  // Resolution through the hashed index over the abstract maps; refinement
-  // (checked separately) guarantees this equals what the MMU would see.
-  // One probe per size class, aligned down to that class's base.
-  for (std::uint64_t bytes : {kPageSize4K, kPageSize2M, kPageSize1G}) {
-    auto it = va_index_.find(va & ~(bytes - 1));
-    if (it != va_index_.end() && PageBytes(it->second.size) == bytes) {
-      return it->second;
+  // Resolution through the mapping store; refinement (checked separately)
+  // guarantees this equals what the MMU would see. One probe per size
+  // class, aligned down to that class's base.
+  for (PageSize size : {PageSize::k4K, PageSize::k2M, PageSize::k1G}) {
+    if (std::optional<MapEntry> entry = MappingAt(va & ~(PageBytes(size) - 1), size)) {
+      return entry;
     }
   }
   return std::nullopt;
 }
 
-const SpecMap<VAddr, MapEntry>& PageTable::mapping(PageSize size) const {
-  switch (size) {
-    case PageSize::k4K:
-      return map_4k_;
-    case PageSize::k2M:
-      return map_2m_;
-    case PageSize::k1G:
-      return map_1g_;
+std::optional<MapEntry> PageTable::MappingAt(VAddr va, PageSize size) const {
+  const MapEntry* entry = mappings_.find(va);
+  if (entry == nullptr || entry->size != size) {
+    return std::nullopt;
   }
-  return map_4k_;
-}
-
-SpecMap<VAddr, MapEntry>& PageTable::MutableMapping(PageSize size) {
-  switch (size) {
-    case PageSize::k4K:
-      return map_4k_;
-    case PageSize::k2M:
-      return map_2m_;
-    case PageSize::k1G:
-      return map_1g_;
-  }
-  return map_4k_;
-}
-
-SpecMap<VAddr, MapEntry> PageTable::AddressSpace() const {
-  if (map_2m_.empty() && map_1g_.empty()) {
-    return map_4k_;  // shares the root: O(1) for 4K-only address spaces
-  }
-  SpecMap<VAddr, MapEntry> out = map_4k_;
-  for (const auto& [va, entry] : map_2m_) {
-    out.set(va, entry);
-  }
-  for (const auto& [va, entry] : map_1g_) {
-    out.set(va, entry);
-  }
-  return out;
+  return *entry;
 }
 
 SpecSet<PagePtr> PageTable::PageClosure() const {
@@ -301,19 +264,6 @@ SpecSet<PagePtr> PageTable::PageClosure() const {
 }
 
 bool PageTable::StructureWf(const PhysMem& mem) const {
-  // The hashed index is exactly the union of the three ghost maps: same
-  // cardinality and every indexed entry present in the map of its size
-  // class with the same value.
-  if (va_index_.size() != MappingCount()) {
-    return false;
-  }
-  for (const auto& [va, entry] : va_index_) {
-    const SpecMap<VAddr, MapEntry>& ground_truth = mapping(entry.size);
-    if (!ground_truth.contains(va) || !(ground_truth.at(va) == entry)) {
-      return false;
-    }
-  }
-
   // Ghost metadata domain equals the permission map domain, root included.
   if (node_perms_.size() != node_info_.size() || !node_perms_.count(cr3_)) {
     return false;
@@ -387,7 +337,6 @@ void PageTable::Destroy(PageAllocator* alloc) {
     alloc->FreePage(addr, std::move(perm));
   }
   node_info_ = SpecMap<PAddr, PtNodeInfo>();
-  va_index_.clear();
   cr3_ = kNullPtr;
 }
 
@@ -400,14 +349,14 @@ PageTable PageTable::CloneForVerification(PhysMem* mem) const {
   mem->HwWriteBytes(cr3_, ReadPtNode(*mem_, cr3_).data(), kPageSize4K);
   out.node_perms_.clear();
   for (const auto& [addr, perm] : node_perms_) {
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture; steady state uses CloneForVerificationInto over pooled state
+    // averif-lint: allow(hot-path-alloc) — no ring drain runs a fresh clone. The
+    // finding's last edge is a may-call: VmManager::CloneForVerificationInto's
+    // `perm.CloneForVerification()` copies a FramePerm, a receiver the call graph
+    // cannot type, so it links every CloneForVerification, this one included.
     out.node_perms_.emplace(addr, perm.CloneForVerification());
   }
   out.node_info_ = node_info_;
-  out.map_4k_ = map_4k_;
-  out.map_2m_ = map_2m_;
-  out.map_1g_ = map_1g_;
-  out.va_index_ = va_index_;
+  out.mappings_ = mappings_;
   return out;
 }
 
@@ -433,13 +382,9 @@ void PageTable::CloneForVerificationInto(PageTable* out, PhysMem* mem) const {
     }
   }
   out->node_perms_.erase(dit, out->node_perms_.end());
-  // Persistent spec maps: O(1) root shares. The hashed index copy-assign
-  // reuses the destination's bucket array.
+  // Persistent spec maps: O(1) root shares.
   out->node_info_ = node_info_;
-  out->map_4k_ = map_4k_;
-  out->map_2m_ = map_2m_;
-  out->map_1g_ = map_1g_;
-  out->va_index_ = va_index_;
+  out->mappings_ = mappings_;
   out->write_observer_ = nullptr;
 }
 

@@ -4,10 +4,12 @@
 // physical memory — the same bits the MMU walker reads. Following the
 // paper's key design choice, the tracked permissions of *all* PML levels are
 // stored in one flat map at the page-table root, together with per-node
-// ghost metadata (level + virtual-address base). The abstract state is three
-// ghost maps from virtual address to MapEntry, one per page size, which the
-// refinement checkers (src/pagetable/refinement.h) compare against what the
-// MMU resolves.
+// ghost metadata (level + virtual-address base). The abstract state is one
+// map from mapping base to MapEntry, all page sizes together (an entry
+// carries its size, and bases of different sizes cannot collide in a
+// well-formed table). It is the table's only mapping store: lookups read
+// it, Ψ shares it, and the refinement checkers
+// (src/pagetable/refinement.h) compare it against what the MMU resolves.
 //
 // Page-table updates are modelled write-by-write: every 8-byte store to a
 // node can be observed through a write observer, which lets tests check the
@@ -23,7 +25,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <unordered_map>
 
 #include "src/hw/mmu.h"
 #include "src/hw/phys_mem.h"
@@ -98,7 +99,13 @@ class PageTable {
   PageTable& operator=(PageTable&&) noexcept = default;
 
   PAddr cr3() const { return cr3_; }
+  // The container charged for the table: EnsureChild tags every node it
+  // allocates with it.
   CtnrPtr owner() const { return owner_; }
+  // Re-attributes the table (IOMMU domain delegation and container-kill
+  // harvest, IommuManager::SetDomainOwner). Existing node frames keep their
+  // allocator owner; the caller moves them and their charge.
+  void SetOwner(CtnrPtr owner) { owner_ = owner; }
 
   // Installs `pa` at `va` with the given size and rights. Allocates
   // intermediate nodes from `alloc` as needed (charged to the table owner).
@@ -125,16 +132,14 @@ class PageTable {
   // Software resolve through the kernel's own view (not the MMU).
   std::optional<MapEntry> Resolve(VAddr va) const;
 
+  // The mapping based exactly at `va`, if it has the given size.
+  std::optional<MapEntry> MappingAt(VAddr va, PageSize size) const;
+
   // --- Ghost state ---
-  const SpecMap<VAddr, MapEntry>& mapping_4k() const { return map_4k_; }
-  const SpecMap<VAddr, MapEntry>& mapping_2m() const { return map_2m_; }
-  const SpecMap<VAddr, MapEntry>& mapping_1g() const { return map_1g_; }
-  const SpecMap<VAddr, MapEntry>& mapping(PageSize size) const;
-  // Union of the three maps: the process's abstract address space.
-  SpecMap<VAddr, MapEntry> AddressSpace() const;
-  std::size_t MappingCount() const {
-    return map_4k_.size() + map_2m_.size() + map_1g_.size();
-  }
+  // The mapping store: the process's abstract address space, keyed by
+  // mapping base. Copies share it in O(1).
+  const SpecMap<VAddr, MapEntry>& AddressSpace() const { return mappings_; }
+  std::size_t MappingCount() const { return mappings_.size(); }
 
   const std::map<PAddr, FramePerm>& node_perms() const { return node_perms_; }
   const SpecMap<PAddr, PtNodeInfo>& node_info() const { return node_info_; }
@@ -146,8 +151,8 @@ class PageTable {
 
   // Structural well-formedness: node ghost metadata is consistent, every
   // non-leaf present entry points to exactly one registered child node of
-  // the next level, leaves are aligned, cr3 is the only root, and the
-  // hashed va_index_ equals the union of the three ghost maps.
+  // the next level, leaves are aligned, and cr3 is the only root. The
+  // mapping store is compared with the leaves by the refinement checkers.
   bool StructureWf(const PhysMem& mem) const;
 
   // Frees every node frame back to the allocator, consuming permissions.
@@ -163,15 +168,17 @@ class PageTable {
   // PhysMem and are cloned by the harness alongside.
   PageTable CloneForVerification(PhysMem* mem) const;
   // Pooled clone: overwrite `out` (a previously cloned or default-shell
-  // table) in place, reusing its node-permission map nodes and va_index_
-  // buckets. `mem` must already hold this table's node frames (the caller
-  // clones PhysMem first), so no frame bytes move here.
+  // table) in place, reusing its node-permission map nodes. `mem` must
+  // already hold this table's node frames (the caller clones PhysMem
+  // first), so no frame bytes move here.
   void CloneForVerificationInto(PageTable* out, PhysMem* mem) const;
   // Shell for pooled-clone pools: no root, no permissions; only usable as
   // a CloneForVerificationInto destination.
   PageTable() : mem_(nullptr), cr3_(kNullPtr), owner_(kNullPtr) {}
 
  private:
+  friend struct PageTableTestPeer;
+
   PageTable(PhysMem* mem, PAddr cr3, FramePerm root_perm, CtnrPtr owner);
 
   std::uint64_t ReadEntry(PAddr node, std::uint64_t index) const;
@@ -182,21 +189,12 @@ class PageTable {
   std::optional<PAddr> EnsureChild(PageAllocator* alloc, PAddr node, std::uint64_t index,
                                    int child_level, VAddr child_base);
 
-  SpecMap<VAddr, MapEntry>& MutableMapping(PageSize size);
-
   PhysMem* mem_;
   PAddr cr3_;
   CtnrPtr owner_;
   std::map<PAddr, FramePerm> node_perms_;  // flat permission storage
   SpecMap<PAddr, PtNodeInfo> node_info_;   // flat ghost metadata
-  SpecMap<VAddr, MapEntry> map_4k_;
-  SpecMap<VAddr, MapEntry> map_2m_;
-  SpecMap<VAddr, MapEntry> map_1g_;
-  // Hashed union of the three ghost maps, keyed by mapping base VA and
-  // maintained in lockstep by Map/Unmap (the only mutation points). Turns
-  // the per-syscall VA lookups in Resolve/Unmap into O(1) hash probes;
-  // StructureWf cross-checks it against the ghost-map ground truth.
-  std::unordered_map<VAddr, MapEntry> va_index_;
+  SpecMap<VAddr, MapEntry> mappings_;      // mapping base -> entry, every size
   std::function<void()> write_observer_;
 };
 

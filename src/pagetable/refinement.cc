@@ -43,11 +43,10 @@ MapEntryPerm EffectivePerm(std::uint64_t leaf_pte) { return PtePerm(leaf_pte); }
 // ---------------------------------------------------------------------------
 
 RefinementReport FlatRefinementCheck(const PageTable& pt, const PhysMem& mem) {
-  // Count leaves seen per size class; combined with per-entry containment
-  // this gives map equality without building any intermediate map.
-  std::size_t leaves_4k = 0;
-  std::size_t leaves_2m = 0;
-  std::size_t leaves_1g = 0;
+  // Every leaf found in the store under its own size, plus equal counts,
+  // gives map equality without building any intermediate map.
+  const SpecMap<VAddr, MapEntry>& store = pt.AddressSpace();
+  std::size_t leaves = 0;
 
   for (const auto& [addr, perm] : pt.node_perms()) {
     if (!pt.node_info().contains(addr)) {
@@ -62,32 +61,20 @@ RefinementReport FlatRefinementCheck(const PageTable& pt, const PhysMem& mem) {
         return true;  // interior entry; structure checked by StructureWf
       }
       VAddr va = info.va_base + index * EntrySpan(info.level);
-      PageSize size = LevelSize(info.level);
-      const SpecMap<VAddr, MapEntry>& ghost = pt.mapping(size);
-      if (!ghost.contains(va)) {
+      const MapEntry* entry = store.find(va);
+      if (entry == nullptr || entry->size != LevelSize(info.level)) {
         fault = Fail("concrete leaf at va " + Hex(va) + " absent from abstract map");
         return false;
       }
-      const MapEntry& entry = ghost.at(va);
-      if (entry.addr != (pte & kPteAddrMask)) {
+      if (entry->addr != (pte & kPteAddrMask)) {
         fault = Fail("abstract/concrete address mismatch at va " + Hex(va));
         return false;
       }
-      if (!(entry.perm == EffectivePerm(pte))) {
+      if (!(entry->perm == EffectivePerm(pte))) {
         fault = Fail("abstract/concrete permission mismatch at va " + Hex(va));
         return false;
       }
-      switch (info.level) {
-        case 1:
-          ++leaves_4k;
-          break;
-        case 2:
-          ++leaves_2m;
-          break;
-        default:
-          ++leaves_1g;
-          break;
-      }
+      ++leaves;
       return true;
     });
     if (!node_ok) {
@@ -95,8 +82,7 @@ RefinementReport FlatRefinementCheck(const PageTable& pt, const PhysMem& mem) {
     }
   }
 
-  if (leaves_4k != pt.mapping_4k().size() || leaves_2m != pt.mapping_2m().size() ||
-      leaves_1g != pt.mapping_1g().size()) {
+  if (leaves != store.size()) {
     return Fail("abstract map contains entries the concrete table lacks");
   }
   return RefinementReport{};
@@ -108,44 +94,24 @@ RefinementReport FlatRefinementCheck(const PageTable& pt, const PhysMem& mem) {
 
 namespace {
 
-struct InterpMaps {
-  SpecMap<VAddr, MapEntry> map_4k;
-  SpecMap<VAddr, MapEntry> map_2m;
-  SpecMap<VAddr, MapEntry> map_1g;
-};
-
 // Recursive interpretation of the subtree rooted at `node`: builds the
 // mapping of every child, then merges child maps into the node's map — the
 // executable analog of a recursive spec interpreted with per-level
 // unrolling. Deliberately takes and returns maps by value.
-InterpMaps InterpNode(const PhysMem& mem, PAddr node, int level, VAddr base) {
-  InterpMaps out;
+SpecMap<VAddr, MapEntry> InterpNode(const PhysMem& mem, PAddr node, int level, VAddr base) {
+  SpecMap<VAddr, MapEntry> out;
   ForEachPresentPte(ReadPtNode(mem, node), [&](std::uint64_t index, std::uint64_t pte) {
     VAddr slot_base = base + index * EntrySpan(level);
     PAddr target = pte & kPteAddrMask;
     bool superpage_leaf = (level == 2 || level == 3) && (pte & kPtePageSize) != 0;
-    if (level == 1) {
-      out.map_4k = out.map_4k.insert(
-          slot_base, MapEntry{.addr = target, .size = PageSize::k4K, .perm = PtePerm(pte)});
-    } else if (superpage_leaf) {
-      MapEntry entry{.addr = target, .size = LevelSize(level), .perm = PtePerm(pte)};
-      if (level == 2) {
-        out.map_2m = out.map_2m.insert(slot_base, entry);
-      } else {
-        out.map_1g = out.map_1g.insert(slot_base, entry);
-      }
+    if (level == 1 || superpage_leaf) {
+      out = out.insert(slot_base,
+                       MapEntry{.addr = target, .size = LevelSize(level), .perm = PtePerm(pte)});
     } else {
       // Interior: interpret the child subtree, then merge (functional
       // update per binding — the cost the flat design avoids).
-      InterpMaps child = InterpNode(mem, target, level - 1, slot_base);
-      for (const auto& [va, entry] : child.map_4k) {
-        out.map_4k = out.map_4k.insert(va, entry);
-      }
-      for (const auto& [va, entry] : child.map_2m) {
-        out.map_2m = out.map_2m.insert(va, entry);
-      }
-      for (const auto& [va, entry] : child.map_1g) {
-        out.map_1g = out.map_1g.insert(va, entry);
+      for (const auto& [va, entry] : InterpNode(mem, target, level - 1, slot_base)) {
+        out = out.insert(va, entry);
       }
     }
     return true;
@@ -156,15 +122,8 @@ InterpMaps InterpNode(const PhysMem& mem, PAddr node, int level, VAddr base) {
 }  // namespace
 
 RefinementReport RecursiveRefinementCheck(const PageTable& pt, const PhysMem& mem) {
-  InterpMaps interp = InterpNode(mem, pt.cr3(), 4, 0);
-  if (!(interp.map_4k == pt.mapping_4k())) {
-    return Fail("recursive interpretation disagrees with abstract 4K map");
-  }
-  if (!(interp.map_2m == pt.mapping_2m())) {
-    return Fail("recursive interpretation disagrees with abstract 2M map");
-  }
-  if (!(interp.map_1g == pt.mapping_1g())) {
-    return Fail("recursive interpretation disagrees with abstract 1G map");
+  if (!(InterpNode(mem, pt.cr3(), 4, 0) == pt.AddressSpace())) {
+    return Fail("recursive interpretation disagrees with abstract map");
   }
   return RefinementReport{};
 }
@@ -174,8 +133,7 @@ RefinementReport RecursiveRefinementCheck(const PageTable& pt, const PhysMem& me
 // ---------------------------------------------------------------------------
 
 RefinementReport MmuCrossCheck(const PageTable& pt, const Mmu& mmu) {
-  SpecMap<VAddr, MapEntry> space = pt.AddressSpace();
-  for (const auto& [va, entry] : space) {
+  for (const auto& [va, entry] : pt.AddressSpace()) {
     std::uint64_t bytes = PageBytes(entry.size);
     for (std::uint64_t probe : {std::uint64_t{0}, bytes / 2, bytes - 1}) {
       std::optional<WalkResult> walk = mmu.Walk(pt.cr3(), va + probe);

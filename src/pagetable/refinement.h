@@ -1,29 +1,30 @@
 // Page-table refinement checkers: flat vs recursive (§6.2).
 //
-// Both checkers validate the same theorem — the abstract mappings equal what
-// the MMU resolves:
+// Both checkers validate the same theorem — the table's mapping store,
+// AddressSpace(), equals what the MMU resolves:
 //
-//   forall l4i,l3i,l2i,l1i in [0,512):
-//     mapping_4k().contains(index2va(l4i,l3i,l2i,l1i))
+//   forall l4i,l3i,l2i,l1i in [0,512), with va = index2va(l4i,l3i,l2i,l1i):
+//     (AddressSpace().contains(va) && AddressSpace()[va].size == 4K)
 //       <==> resolve_mapping_4k(l4i,l3i,l2i,l1i).is_Some()
 //   and where present the resolved (address, permission) pair is equal
-//   (and likewise for the 2M and 1G maps).
+//   (and likewise for 2M and 1G entries, resolved at their levels).
 //
 // They differ in *how* — mirroring the proof-structure difference between
 // Atmosphere and NrOS that the paper's Table 2 quantifies:
 //
 //  * FlatRefinementCheck exploits the flat permission storage: it iterates
 //    the node map directly, knows each node's level and va-base from the
-//    flat ghost metadata, and validates every present entry in place plus a
-//    leaf-count argument. No intermediate structures are built — the analog
-//    of the paper's 30-line non-recursive proof.
+//    flat ghost metadata, looks every present leaf up in the store, and
+//    finishes with a leaf-count argument. No intermediate structures are
+//    built — the analog of the paper's 30-line non-recursive proof.
 //
 //  * RecursiveRefinementCheck follows recursive ownership: it knows only
 //    cr3 and interprets the tree by recursive descent, materializing the
 //    mapping of every subtree level by level and merging child maps upward
-//    (the analog of NrOS's per-level unrolled interpretation, ~200 lines of
-//    proof). The merge work at every interior node is what makes it
-//    asymptotically and practically slower.
+//    into one map it compares with the store (the analog of NrOS's
+//    per-level unrolled interpretation, ~200 lines of proof). The merge
+//    work at every interior node is what makes it asymptotically and
+//    practically slower.
 
 #ifndef ATMO_SRC_PAGETABLE_REFINEMENT_H_
 #define ATMO_SRC_PAGETABLE_REFINEMENT_H_

@@ -128,8 +128,9 @@ struct AbstractKernel {
   SpecMap<ProcPtr, AbsProcess> procs;
   SpecMap<ThrdPtr, AbsThread> threads;
   SpecMap<EdptPtr, AbsEndpoint> endpoints;
-  // Per-process abstract address space (the union of the page-table ghost
-  // maps, proven equal to the MMU's view by the refinement checkers).
+  // Per-process abstract address space: a copy of the page table's
+  // mapping store (sharing it), proven equal to the MMU's view by the
+  // refinement checkers.
   SpecMap<ProcPtr, SpecMap<VAddr, MapEntry>> address_spaces;
   // Allocator view: in-use unit pages (allocated + mapped) and the free
   // sets per size class.

@@ -52,6 +52,13 @@ class SpecMap {
     return e->second;
   }
 
+  // The value at k, or nullptr outside dom(): one search where contains()
+  // followed by at() takes two.
+  const V* find(const K& k) const {
+    const Entry* e = tree_.Find(k);
+    return e == nullptr ? nullptr : &e->second;
+  }
+
   std::size_t size() const { return tree_.size(); }
   bool empty() const { return tree_.empty(); }
 

@@ -67,6 +67,37 @@ TEST(CowSpecSetTest, NoOpMutationsKeepRepShared) {
   EXPECT_FALSE(a.contains(3));
 }
 
+// A checked step in a process with superpage mappings leaves Ψ's address
+// space sharing the page table's mapping store: capturing a space is an
+// O(1) copy whatever page sizes it holds.
+TEST(IncrementalRefinementTest, CachedAddressSpaceSharesTheStoreWithSuperpages) {
+  BootConfig config;
+  config.frames = 16384;
+  config.reserved_frames = 16;
+  Kernel kernel = std::move(*Kernel::Boot(config));
+  auto ctnr = kernel.BootCreateContainer(kernel.root_container(), 8192, ~0ull);
+  auto proc = kernel.BootCreateProcess(ctnr.value);
+  auto thrd = kernel.BootCreateThread(proc.value);
+  ASSERT_TRUE(ctnr.ok() && proc.ok() && thrd.ok());
+  RefinementChecker checker(&kernel, /*check_wf_every=*/1);
+
+  auto mmap = [&](VAddr va, PageSize size) {
+    Syscall call;
+    call.op = SysOp::kMmap;
+    call.va_range = VaRange{va, 1, size};
+    call.map_perm = MapEntryPerm{.writable = true, .user = true, .no_execute = true};
+    return checker.Step(thrd.value, call).error;
+  };
+  ASSERT_EQ(mmap(0x40000000, PageSize::k2M), SysError::kOk);
+  ASSERT_EQ(mmap(0x40200000, PageSize::k2M), SysError::kOk);
+  ASSERT_EQ(mmap(0x400000, PageSize::k4K), SysError::kOk);
+
+  ASSERT_NE(checker.cached(), nullptr);
+  const SpecMap<VAddr, MapEntry>& store = kernel.vm().TableOf(proc.value).AddressSpace();
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_TRUE(checker.cached()->address_spaces.at(proc.value).SharesRepWith(store));
+}
+
 // ---------------------------------------------------------------------------
 // Randomized differential sweep: incremental vs full-rebuild checking
 // ---------------------------------------------------------------------------

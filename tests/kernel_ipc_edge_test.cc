@@ -1,5 +1,6 @@
-// IPC and lifecycle edge cases: IOMMU-domain delegation over IPC, capacity
-// limits of every bounded kernel structure, rendezvous teardown while
+// IPC and lifecycle edge cases: IOMMU-domain delegation over IPC and who
+// owns a transferred domain's new table nodes, capacity limits of every
+// bounded kernel structure, rendezvous teardown while
 // blocked, reply-after-exit behaviour, and the zero-copy page-grant
 // discipline (move/borrow exclusivity, revocation, grant return).
 
@@ -126,6 +127,82 @@ TEST_F(IpcEdgeTest, DelegationDeniedWhenReceiverQuotaFull) {
   EXPECT_EQ(Step(ta_, send).error, SysError::kWouldFault);
   EXPECT_EQ(kernel_->iommu().DomainOwner(domain.value), ctnr_a_) << "nothing moved";
   EXPECT_EQ(kernel_->pm().GetThread(tb_).state, ThreadState::kBlockedRecv);
+}
+
+// ---------------------------------------------------------------------------
+// Owner transfer: after a domain changes hands, the table nodes a later DMA
+// map allocates are charged to the new owner and tagged with it
+// ---------------------------------------------------------------------------
+
+class DomainOwnerTransferTest : public IpcEdgeTest {
+ protected:
+  static constexpr VAddr kPageVa = 0x400000;
+  // Far from every other mapping: a fresh domain lacks its PDPT, PD and PT.
+  static constexpr VAddr kIova = 0x8000000000ull;
+
+  // TotalWf after every step: the quota tally compares each container's
+  // mem_used with the pages the allocator attributes to it.
+  DomainOwnerTransferTest() { checker_.emplace(&*kernel_, 1); }
+
+  // `t` mmaps a page and exposes it to `domain` at kIova.
+  void MapDmaNeedingFreshNodes(ThrdPtr t, IommuDomainId domain) {
+    Syscall mmap = Op(SysOp::kMmap);
+    mmap.va_range = VaRange{kPageVa, 1, PageSize::k4K};
+    mmap.map_perm = kRw;
+    ASSERT_EQ(Step(t, mmap).error, SysError::kOk);
+    ASSERT_EQ(kernel_->iommu().FreshNodesForDma(domain, kIova, PageSize::k4K), 3u);
+    Syscall map = Op(SysOp::kIommuMapDma);
+    map.iommu_domain = domain;
+    map.iova = kIova;
+    map.dma_va = kPageVa;
+    map.map_perm = kRw;
+    ASSERT_EQ(Step(t, map).error, SysError::kOk);
+  }
+
+  void ExpectTableOwnedByDomainOwner(IommuDomainId domain) {
+    CtnrPtr owner = kernel_->iommu().DomainOwner(domain);
+    SpecSet<PagePtr> closure = kernel_->iommu().DomainPageClosure(domain);
+    EXPECT_EQ(closure.size(), 4u) << "root + PDPT + PD + PT";
+    for (PagePtr page : closure) {
+      EXPECT_EQ(kernel_->alloc().OwnerOf(page), owner) << "table node " << page;
+    }
+  }
+
+  ScopedThrowOnCheckFailure throw_on_check_;
+};
+
+TEST_F(DomainOwnerTransferTest, DelegatedDomainChargesAndTagsNewNodesToReceiver) {
+  SyscallRet domain = Step(ta_, Op(SysOp::kIommuCreateDomain));
+  ASSERT_EQ(domain.error, SysError::kOk);
+  ASSERT_EQ(Step(tb_, Op(SysOp::kRecv)).error, SysError::kBlocked);
+  Syscall send = Op(SysOp::kSend);
+  send.payload.iommu = IommuGrant{.domain_id = domain.value};
+  ASSERT_EQ(Step(ta_, send).error, SysError::kOk);
+  ASSERT_EQ(kernel_->iommu().DomainOwner(domain.value), ctnr_b_);
+
+  MapDmaNeedingFreshNodes(tb_, domain.value);
+  ExpectTableOwnedByDomainOwner(domain.value);
+}
+
+TEST_F(DomainOwnerTransferTest, HarvestedDomainChargesAndTagsNewNodesToParent) {
+  Syscall nc = Op(SysOp::kNewContainer);
+  nc.quota = 64;
+  SyscallRet child = Step(ta_, nc);
+  ASSERT_EQ(child.error, SysError::kOk);
+  auto cp = kernel_->BootCreateProcess(child.value);
+  ASSERT_TRUE(cp.ok());
+  auto ct = kernel_->BootCreateThread(cp.value);
+  ASSERT_TRUE(ct.ok());
+  SyscallRet domain = Step(ct.value, Op(SysOp::kIommuCreateDomain));
+  ASSERT_EQ(domain.error, SysError::kOk);
+
+  Syscall kill = Op(SysOp::kKillContainer);
+  kill.target = child.value;
+  ASSERT_EQ(Step(ta_, kill).error, SysError::kOk);
+  ASSERT_EQ(kernel_->iommu().DomainOwner(domain.value), ctnr_a_);
+
+  MapDmaNeedingFreshNodes(ta_, domain.value);
+  ExpectTableOwnedByDomainOwner(domain.value);
 }
 
 // ---------------------------------------------------------------------------

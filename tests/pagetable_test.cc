@@ -2,6 +2,8 @@
 // flat/recursive refinement checkers, MMU cross-checks, and the §4.2
 // write-by-write consistency property.
 
+#include <iterator>
+#include <map>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -16,11 +18,29 @@
 #include "src/vstd/check.h"
 
 namespace atmo {
+
+// Rewrites a mapping-store entry behind Map/Unmap: a planted fault the
+// refinement checkers must reject.
+struct PageTableTestPeer {
+  static void SetStoreEntry(PageTable* pt, VAddr va, const MapEntry& entry) {
+    pt->mappings_.set(va, entry);
+  }
+};
+
 namespace {
 
 constexpr MapEntryPerm kRw{.writable = true, .user = true, .no_execute = false};
 constexpr MapEntryPerm kRo{.writable = false, .user = true, .no_execute = false};
 constexpr MapEntryPerm kRx{.writable = false, .user = true, .no_execute = false};
+
+// Entries of the table's mapping store that have the given size.
+std::size_t CountOfSize(const PageTable& pt, PageSize size) {
+  std::size_t count = 0;
+  for (const auto& [va, entry] : pt.AddressSpace()) {
+    count += entry.size == size ? 1 : 0;
+  }
+  return count;
+}
 
 class PageTableTest : public ::testing::Test {
  protected:
@@ -153,10 +173,23 @@ TEST_F(PageTableTest, MixedSizesCoexistInDisjointRanges) {
   ASSERT_EQ(pt_->Map(&alloc_, kPageSize2M * 3, 2 * kPageSize2M, PageSize::k2M, kRw),
             MapError::kOk);
   ASSERT_EQ(pt_->Map(&alloc_, kPageSize1G * 2, kPageSize1G, PageSize::k1G, kRo), MapError::kOk);
-  EXPECT_EQ(pt_->mapping_4k().size(), 1u);
-  EXPECT_EQ(pt_->mapping_2m().size(), 1u);
-  EXPECT_EQ(pt_->mapping_1g().size(), 1u);
+  EXPECT_EQ(CountOfSize(*pt_, PageSize::k4K), 1u);
+  EXPECT_EQ(CountOfSize(*pt_, PageSize::k2M), 1u);
+  EXPECT_EQ(CountOfSize(*pt_, PageSize::k1G), 1u);
   EXPECT_EQ(pt_->AddressSpace().size(), 3u);
+  ExpectAllChecksPass();
+}
+
+TEST_F(PageTableTest, AddressSpaceSharesTheStoreAtEverySize) {
+  // Ψ captures an address space by copying AddressSpace(); with superpages
+  // in the table too, the copy must share the store, not rebuild it.
+  ASSERT_EQ(pt_->Map(&alloc_, 0x400000, 0x1000000, PageSize::k4K, kRw), MapError::kOk);
+  ASSERT_EQ(pt_->Map(&alloc_, kPageSize2M * 3, 2 * kPageSize2M, PageSize::k2M, kRw),
+            MapError::kOk);
+  ASSERT_EQ(pt_->Map(&alloc_, kPageSize1G * 2, kPageSize1G, PageSize::k1G, kRo), MapError::kOk);
+  EXPECT_TRUE(pt_->AddressSpace().SharesRepWith(pt_->AddressSpace()));
+  SpecMap<VAddr, MapEntry> captured = pt_->AddressSpace();
+  EXPECT_TRUE(captured.SharesRepWith(pt_->AddressSpace()));
   ExpectAllChecksPass();
 }
 
@@ -430,8 +463,46 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Parameterized sweep: random map/unmap sequences at mixed sizes keep all
-// four checkers green (flat, recursive, structural, MMU).
+// A store entry whose size disagrees with its leaf: the flat checker finds
+// the leaf under the wrong size, the recursive interpretation differs from
+// the store, and the MMU resolves a page of another size.
+TEST_F(PageTableTest, CheckersRejectStoreEntryWithWrongSize) {
+  ASSERT_EQ(pt_->Map(&alloc_, 0x400000, 0x1000000, PageSize::k4K, kRw), MapError::kOk);
+  ASSERT_EQ(pt_->Map(&alloc_, kPageSize2M * 3, 2 * kPageSize2M, PageSize::k2M, kRw),
+            MapError::kOk);
+  ExpectAllChecksPass();
+
+  for (VAddr va : {VAddr{0x400000}, VAddr{kPageSize2M * 3}}) {
+    const MapEntry good = pt_->AddressSpace().at(va);
+    MapEntry bad = good;
+    bad.size = good.size == PageSize::k4K ? PageSize::k2M : PageSize::k4K;
+    PageTableTestPeer::SetStoreEntry(&*pt_, va, bad);
+    RefinementReport flat = FlatRefinementCheck(*pt_, mem_);
+    EXPECT_FALSE(flat.ok) << "va " << va;
+    EXPECT_NE(flat.detail.find("absent from abstract map"), std::string::npos) << flat.detail;
+    EXPECT_FALSE(RecursiveRefinementCheck(*pt_, mem_).ok) << "va " << va;
+    EXPECT_FALSE(MmuCrossCheck(*pt_, mmu_).ok) << "va " << va;
+    PageTableTestPeer::SetStoreEntry(&*pt_, va, good);  // restore so TearDown unmaps
+  }
+  ExpectAllChecksPass();
+}
+
+// The mapping covering `va` in a reference map keyed by mapping base.
+std::optional<MapEntry> ReferenceResolve(const std::map<VAddr, MapEntry>& reference, VAddr va) {
+  auto it = reference.upper_bound(va);
+  if (it == reference.begin()) {
+    return std::nullopt;
+  }
+  --it;
+  if (va - it->first >= PageBytes(it->second.size)) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
+// Parameterized sweep: random map/unmap sequences at all three sizes keep
+// all four checkers green (flat, recursive, structural, MMU), and the
+// mapping store stays equal to a reference std::map (differential oracle).
 class PageTableSweepTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(PageTableSweepTest, RandomOpsAllCheckersGreen) {
@@ -449,25 +520,33 @@ TEST_P(PageTableSweepTest, RandomOpsAllCheckersGreen) {
   auto pt = PageTable::New(&mem, &alloc, kNullPtr);
   ASSERT_TRUE(pt.has_value());
 
-  std::vector<VAddr> mapped;
+  std::map<VAddr, MapEntry> reference;
   for (int step = 0; step < 120; ++step) {
-    if (mapped.size() < 24 && next() % 3 != 0) {
-      PageSize size = next() % 8 == 0 ? PageSize::k2M : PageSize::k4K;
+    if (reference.size() < 24 && next() % 3 != 0) {
+      std::uint64_t roll = next() % 16;
+      PageSize size = roll == 0 ? PageSize::k1G : (roll < 3 ? PageSize::k2M : PageSize::k4K);
       std::uint64_t bytes = PageBytes(size);
-      VAddr va = (next() % 64) * kPageSize2M + (size == PageSize::k4K
-                                                     ? (next() % 512) * kPageSize4K
-                                                     : 0);
+      // 4K and 2M mappings land in 1G regions 0-1, 1G mappings in 1-3, so
+      // region 1 makes every size conflict with every other.
+      VAddr va = size == PageSize::k1G
+                     ? (1 + next() % 3) * kPageSize1G
+                     : (next() % 2) * kPageSize1G + (next() % 64) * kPageSize2M +
+                           (next() % 512) * kPageSize4K;
       va = va / bytes * bytes;
       PAddr pa = ((next() % 1024) * kPageSize4K) / bytes * bytes;
       MapEntryPerm perm{.writable = next() % 2 == 0, .user = true,
                         .no_execute = next() % 4 == 0};
       if (pt->Map(&alloc, va, pa, size, perm) == MapError::kOk) {
-        mapped.push_back(va);
+        ASSERT_FALSE(reference.contains(va)) << "step " << step;
+        reference[va] = MapEntry{.addr = pa, .size = size, .perm = perm};
       }
-    } else if (!mapped.empty()) {
-      std::size_t pick = next() % mapped.size();
-      ASSERT_TRUE(pt->Unmap(mapped[pick]).has_value());
-      mapped.erase(mapped.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (!reference.empty()) {
+      auto pick = std::next(reference.begin(),
+                            static_cast<std::ptrdiff_t>(next() % reference.size()));
+      std::optional<MapEntry> removed = pt->Unmap(pick->first);
+      ASSERT_TRUE(removed.has_value());
+      EXPECT_TRUE(*removed == pick->second) << "step " << step;
+      reference.erase(pick);
     }
     if (step % 10 == 0) {
       ASSERT_TRUE(pt->StructureWf(mem)) << "step " << step;
@@ -477,9 +556,27 @@ TEST_P(PageTableSweepTest, RandomOpsAllCheckersGreen) {
       ASSERT_TRUE(rec.ok) << "step " << step << ": " << rec.detail;
       RefinementReport cross = MmuCrossCheck(*pt, mmu);
       ASSERT_TRUE(cross.ok) << "step " << step << ": " << cross.detail;
+
+      SpecMap<VAddr, MapEntry> expected;
+      for (const auto& [va, entry] : reference) {
+        expected.set(va, entry);
+      }
+      ASSERT_TRUE(pt->AddressSpace() == expected) << "step " << step;
+      ASSERT_EQ(pt->MappingCount(), reference.size()) << "step " << step;
+      for (const auto& [base, entry] : reference) {
+        std::uint64_t bytes = PageBytes(entry.size);
+        for (VAddr probe : {base, base + bytes / 2, base + bytes}) {
+          std::optional<MapEntry> got = pt->Resolve(probe);
+          std::optional<MapEntry> want = ReferenceResolve(reference, probe);
+          EXPECT_EQ(got.has_value(), want.has_value()) << "step " << step << " va " << probe;
+          if (got.has_value() && want.has_value()) {
+            EXPECT_TRUE(*got == *want) << "step " << step << " va " << probe;
+          }
+        }
+      }
     }
   }
-  for (VAddr va : mapped) {
+  for (const auto& [va, entry] : reference) {
     ASSERT_TRUE(pt->Unmap(va).has_value());
   }
   pt->Destroy(&alloc);

@@ -52,7 +52,6 @@ struct Subsystem {
   std::string source;                       // may be empty
   std::vector<std::string> mark_tokens;     // substrings counting as a direct mark
   std::vector<std::string> allow_methods;   // infrastructure methods (drains etc.)
-  std::vector<std::string> index_members;   // extra lockstep members beyond *_index_
   std::vector<std::string> wf_methods;      // cross-check predicate names
   bool logged_by_caller = false;            // class-level dirty-log exemption
 };

@@ -184,7 +184,6 @@ const std::vector<Subsystem>& Subsystems() {
        "src/pmem/page_allocator.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
        {"DrainDirtyInto"},
-       {},
        {"Wf"},
        false},
       {"VmManager",
@@ -192,7 +191,6 @@ const std::vector<Subsystem>& Subsystems() {
        "src/core/vm_manager.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
        {"DrainDirtyInto"},
-       {},
        {"Wf"},
        false},
       {"IommuManager",
@@ -200,17 +198,16 @@ const std::vector<Subsystem>& Subsystems() {
        "src/iommu/iommu_manager.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
        {"DrainDirtyInto"},
-       {"owner_overrides_"},
        {"Wf"},
        false},
       // PageTable has no log of its own: every mutation happens under a
       // VmManager/IommuManager call that logs the owning proc/domain (the
-      // "logged-by-caller" pattern, see vm_manager.h). Its lockstep index
-      // (va_index_) is still checked.
+      // "logged-by-caller" pattern, see vm_manager.h). Its mapping store is
+      // the only record of its mappings, so it has no index to check; the
+      // row keeps the lockstep-index rule watching for a future one.
       {"PageTable",
        "src/pagetable/page_table.h",
        "src/pagetable/page_table.cc",
-       {},
        {},
        {},
        {"StructureWf"},
@@ -222,7 +219,6 @@ const std::vector<Subsystem>& Subsystems() {
        // sets; scheduler state is covered by sched_dirty_.
        {".GetMut(", ".Insert(", ".Remove(", "sched_dirty_ = true", ".DrainInto"},
        {"DrainDirty"},
-       {},
        {"Wf"},
        false},
       {"SyscallRingTable",
@@ -230,7 +226,6 @@ const std::vector<Subsystem>& Subsystems() {
        "src/core/syscall_ring.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
        {"DrainDirtyInto"},
-       {},
        {"Wf"},
        false},
   };

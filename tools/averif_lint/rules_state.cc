@@ -120,8 +120,7 @@ void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings) {
       MissingFile(findings, options, sub.header, "lockstep-index");
       continue;
     }
-    // Index members: declared members whose name ends in `_index_`, plus the
-    // per-class extras.
+    // Index members: declared members whose name ends in `_index_`.
     std::set<std::string> members;
     for (std::size_t i = body->begin; i < body->end; ++i) {
       if (!IsIdentChar(header.code[i]) || (i > 0 && IsIdentChar(header.code[i - 1]))) {
@@ -136,11 +135,6 @@ void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings) {
         members.insert(ident);
       }
       i = e;
-    }
-    for (const std::string& extra : sub.index_members) {
-      if (ContainsIdent(header.code, extra, body->begin, body->end)) {
-        members.insert(extra);
-      }
     }
     if (members.empty()) {
       continue;
