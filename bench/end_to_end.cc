@@ -490,6 +490,7 @@ E2EResult RunEndToEnd(const std::string& config_name, const E2EOptions& options)
   add_stage("check", s_check);
   add_stage("e2e", s_e2e);
   result.sampled_requests = s_e2e.size();
+  result.rx_frames = driver.rx_frames();
   // The harness only reaches this point if every checked transition passed
   // (a violation aborts); the final total_wf seals the run.
   result.all_ok = f.kernel.TotalWf().ok;

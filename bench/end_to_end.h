@@ -85,6 +85,8 @@ struct E2EResult {
   };
   std::vector<StageStats> stage_breakdown;
   std::uint64_t sampled_requests = 0;
+  // Frames the driver received, each offered once to the trace sampler.
+  std::uint64_t rx_frames = 0;
   bool all_ok = false;
 };
 

@@ -1326,14 +1326,13 @@ const char* Kernel::AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* 
   return nullptr;
 }
 
-DirtySet Kernel::DrainDirty() {
-  DirtySet d;
-  pm_.DrainDirty(&d);
-  alloc_.DrainDirtyInto(&d.pages, &d.overflow);
-  vm_.DrainDirtyInto(&d.spaces, &d.overflow);
-  iommu_.DrainDirtyInto(&d.iommu_domains, &d.overflow);
-  rings_.DrainDirtyInto(&d.rings, &d.overflow);
-  return d;
+void Kernel::DrainDirty(DirtySet* out) {
+  out->Clear();
+  pm_.DrainDirty(out);
+  alloc_.DrainDirtyInto(&out->pages, &out->overflow);
+  vm_.DrainDirtyInto(&out->spaces, &out->overflow);
+  iommu_.DrainDirtyInto(&out->iommu_domains, &out->overflow);
+  rings_.DrainDirtyInto(&out->rings, &out->overflow);
 }
 
 void Kernel::AbstractDelta(AbstractKernel* psi, const DirtySet& dirty) const {

@@ -109,9 +109,10 @@ class Kernel {
   // component that differs, or nullptr when they are equal. `marks` is
   // scratch, kept by the caller so repeated audits do not allocate.
   const char* AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* marks) const;
-  // Drains every subsystem's mutation log: the set of objects whose
-  // abstract view may differ from the last drained snapshot.
-  DirtySet DrainDirty();
+  // Drains every subsystem's mutation log into `out` (cleared first, its
+  // capacity kept): the set of objects whose abstract view may differ from
+  // the last drained snapshot.
+  void DrainDirty(DirtySet* out);
   // Incremental abstraction: patches `psi` (a faithful Ψ of the concrete
   // state as of the previous drain) in place at exactly the dirty entries,
   // making it Abstract() in O(|dirty| · log n) instead of O(machine). Falls

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "src/core/syscall.h"
@@ -185,7 +184,7 @@ class SyscallRingTable {
 
   bool Wf() const;
 
-  void DrainDirtyInto(std::set<std::uint64_t>* out, bool* overflow_out) {
+  void DrainDirtyInto(std::vector<std::uint64_t>* out, bool* overflow_out) {
     dirty_.DrainInto(out, overflow_out);
   }
 

@@ -282,23 +282,6 @@ bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
   return true;
 }
 
-VmManager VmManager::CloneForVerification(PhysMem* mem) const {
-  VmManager out(mem);
-  for (const auto& [proc, table] : tables_) {
-    // averif-lint: allow(hot-path-alloc) — no ring drain runs a fresh clone. The
-    // finding's last edge is a may-call: VmManager::CloneForVerificationInto's
-    // `perm.CloneForVerification()` copies a FramePerm, a receiver the call graph
-    // cannot type, so it links every CloneForVerification, this one included.
-    out.tables_.emplace(proc, table.CloneForVerification(mem));
-  }
-  for (const auto& [page, perm] : frame_perms_) {
-    // averif-lint: allow(hot-path-alloc) — the same may-call edge as above
-    out.frame_perms_.emplace(page, perm.CloneForVerification());
-  }
-  out.borrows_ = borrows_;
-  return out;
-}
-
 void VmManager::CloneForVerificationInto(VmManager* out, PhysMem* mem) const {
   out->mem_ = mem;
   // Sorted merge walk: per-table pooled clones into reused map nodes.

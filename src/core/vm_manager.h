@@ -12,8 +12,8 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "src/hw/mmu.h"
 #include "src/hw/phys_mem.h"
@@ -138,9 +138,8 @@ class VmManager {
   // Drains the set of processes whose abstract address space may have
   // changed since the last drain (incremental abstraction). Released user
   // frames are tracked by the page allocator's own dirty log.
-  void DrainDirtyInto(std::set<ProcPtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
+  void DrainDirtyInto(std::vector<ProcPtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
-  VmManager CloneForVerification(PhysMem* mem) const;
   // Pooled clone: overwrite `out` in place, reusing its table map nodes
   // and per-table storage (DESIGN.md §14).
   void CloneForVerificationInto(VmManager* out, PhysMem* mem) const;

@@ -183,20 +183,6 @@ bool IommuManager::Wf() const {
   return true;
 }
 
-IommuManager IommuManager::CloneForVerification(PhysMem* mem) const {
-  IommuManager out(mem);
-  out.next_domain_ = next_domain_;
-  for (const auto& [id, table] : domains_) {
-    // averif-lint: allow(hot-path-alloc) — no ring drain runs a fresh clone. The
-    // finding's last edge is a may-call: VmManager::CloneForVerificationInto's
-    // `perm.CloneForVerification()` copies a FramePerm, a receiver the call graph
-    // cannot type, so it links every CloneForVerification, this one included.
-    out.domains_.emplace(id, table.CloneForVerification(mem));
-  }
-  out.device_domains_ = device_domains_;
-  return out;
-}
-
 void IommuManager::CloneForVerificationInto(IommuManager* out, PhysMem* mem) const {
   out->mem_ = mem;
   out->mmu_ = Mmu(mem);

@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "src/hw/mmu.h"
 #include "src/hw/phys_mem.h"
@@ -85,7 +85,7 @@ class IommuManager {
 
   // Drains the set of domains whose abstract view (owner, mappings or
   // attached devices) may have changed since the last drain.
-  void DrainDirtyInto(std::set<IommuDomainId>* out, bool* overflow) {
+  void DrainDirtyInto(std::vector<IommuDomainId>* out, bool* overflow) {
     dirty_.DrainInto(out, overflow);
   }
 
@@ -99,7 +99,6 @@ class IommuManager {
   MapError CanMapDma(IommuDomainId domain, VAddr iova, PageSize size) const;
   std::uint64_t FreshNodesForDma(IommuDomainId domain, VAddr iova, PageSize size) const;
 
-  IommuManager CloneForVerification(PhysMem* mem) const;
   // Pooled clone: overwrite `out` in place, reusing its domain map nodes
   // and per-table storage (DESIGN.md §14).
   void CloneForVerificationInto(IommuManager* out, PhysMem* mem) const;

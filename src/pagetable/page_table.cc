@@ -340,26 +340,6 @@ void PageTable::Destroy(PageAllocator* alloc) {
   cr3_ = kNullPtr;
 }
 
-PageTable PageTable::CloneForVerification(PhysMem* mem) const {
-  PageTable out(mem, cr3_, node_perms_.at(cr3_).CloneForVerification(), owner_);
-  // The private constructor zeroes the root frame in `mem`; for a clone the
-  // caller passes a PhysMem snapshot, so restore is unnecessary only if the
-  // snapshot was taken after construction. To keep this safe, copy the root
-  // bytes back from our own memory image.
-  mem->HwWriteBytes(cr3_, ReadPtNode(*mem_, cr3_).data(), kPageSize4K);
-  out.node_perms_.clear();
-  for (const auto& [addr, perm] : node_perms_) {
-    // averif-lint: allow(hot-path-alloc) — no ring drain runs a fresh clone. The
-    // finding's last edge is a may-call: VmManager::CloneForVerificationInto's
-    // `perm.CloneForVerification()` copies a FramePerm, a receiver the call graph
-    // cannot type, so it links every CloneForVerification, this one included.
-    out.node_perms_.emplace(addr, perm.CloneForVerification());
-  }
-  out.node_info_ = node_info_;
-  out.mappings_ = mappings_;
-  return out;
-}
-
 void PageTable::CloneForVerificationInto(PageTable* out, PhysMem* mem) const {
   out->mem_ = mem;
   out->cr3_ = cr3_;

@@ -164,9 +164,6 @@ class PageTable {
   // 8-byte store to a node frame.
   void SetWriteObserver(std::function<void()> observer) { write_observer_ = std::move(observer); }
 
-  // Deep copy for the verification harness; node frames themselves live in
-  // PhysMem and are cloned by the harness alongside.
-  PageTable CloneForVerification(PhysMem* mem) const;
   // Pooled clone: overwrite `out` (a previously cloned or default-shell
   // table) in place, reusing its node-permission map nodes. `mem` must
   // already hold this table's node frames (the caller clones PhysMem

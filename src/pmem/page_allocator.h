@@ -28,7 +28,6 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -175,7 +174,7 @@ class PageAllocator {
 
   // Dedup-drains the set of frames whose abstract attribution (state, size
   // class, owner or map count) may have changed since the last drain.
-  void DrainDirtyInto(std::set<PagePtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
+  void DrainDirtyInto(std::vector<PagePtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
   // Deep copy for the verification harness.
   PageAllocator CloneForVerification() const;

@@ -2,8 +2,11 @@
 //
 // The paper's specs (Listing 1) spend most of their lines stating what does
 // NOT change ("the state of each thread is unchanged", "virtual addresses
-// outside of va_range are not changed", ...). These helpers express those
-// quantified frame conditions once, against the abstract state.
+// outside of va_range are not changed", ...). Whole components an op never
+// touches are the frame profile's (src/spec/frame_profile.h), which
+// SyscallSpec checks for every op. These helpers state the finer frames a
+// per-op spec adds inside its profile: all entries of a component but a
+// touched few, or a component a particular path leaves alone.
 
 #ifndef ATMO_SRC_SPEC_FRAME_CONDITIONS_H_
 #define ATMO_SRC_SPEC_FRAME_CONDITIONS_H_
@@ -60,10 +63,6 @@ inline bool RingsUnchangedExcept(const AbstractKernel& pre, const AbstractKernel
   return MapUnchangedExcept(pre.rings, post.rings, touched);
 }
 
-inline bool SchedulerUnchanged(const AbstractKernel& pre, const AbstractKernel& post) {
-  return pre.run_queue == post.run_queue && pre.current == post.current;
-}
-
 // Threads outside `touched` unchanged; threads inside changed at most in
 // their scheduler state field.
 inline bool ThreadsTouchedOnlyInState(const AbstractKernel& pre, const AbstractKernel& post,
@@ -82,7 +81,8 @@ inline bool ThreadsTouchedOnlyInState(const AbstractKernel& pre, const AbstractK
   });
 }
 
-// Everything except the scheduler is identical (used by dispatch/yield).
+// Everything except the scheduler is identical. Only DispatchSpec uses it:
+// dispatch is not a syscall, so no frame profile covers it.
 inline bool OnlySchedulerChanged(const AbstractKernel& pre, const AbstractKernel& post,
                                  const SpecSet<ThrdPtr>& state_touched) {
   return ContainersUnchangedExcept(pre, post, {}) && ProcsUnchangedExcept(pre, post, {}) &&

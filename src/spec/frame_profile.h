@@ -1,17 +1,15 @@
 // Frame-condition table: which components of Ψ each syscall may touch.
 //
-// The per-syscall specifications (syscall_specs.cc) state exact frame
-// conditions, but they are spread across ~1200 lines of predicate code — a
-// reader cannot see at a glance what kMmap is allowed to modify. This
-// table is the coarse, declarative summary: one FrameProfile per SysOp
-// naming the abstract-state components the op may change on ANY outcome
-// (success, blocked, or failure). The profiles are the frame column of the
-// syscall table (ATMO_SYSOPS, src/core/syscall.h), so a syscall cannot exist
-// without one. RefinementChecker::Step evaluates
-// FrameProfileViolation(Ψ, Ψ', profile) after every Exec and fails
-// verification if a component outside the profile changed. Unchanged
-// components share their root node in incremental mode, so the check is
-// O(1) per untouched component.
+// One FrameProfile per SysOp names the abstract-state components the op may
+// change on ANY outcome (success, blocked, or failure). The profiles are the
+// frame column of the syscall table (ATMO_SYSOPS, src/core/syscall.h), so a
+// syscall cannot exist without one. This table is the one statement of each
+// op's whole-component frame: SyscallSpec (src/spec/syscall_specs.cc)
+// evaluates FrameProfileViolation(Ψ, Ψ', profile) for every op, after
+// failure atomicity and before the op's own spec, and the per-op specs state
+// only the finer frames inside their profile. Unchanged components share
+// their root node in incremental mode, so the check is O(1) per untouched
+// component.
 //
 // Keep profiles tight: a component is listed only if some reachable path of
 // the op mutates it. Widening a profile to silence a runtime violation

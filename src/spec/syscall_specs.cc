@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "src/core/syscall_ring.h"
-
 #include "src/spec/frame_conditions.h"
+#include "src/spec/frame_profile.h"
 
 namespace atmo {
 
@@ -224,46 +224,13 @@ SpecResult CheckDeliveryEffects(const AbstractKernel& pre, const AbstractKernel&
   return SpecResult{};
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Dispatch / yield
+// Yield
 // ---------------------------------------------------------------------------
 
-SpecResult DispatchSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t) {
-  if (pre.current == t) {
-    if (!(pre == post)) {
-      return Fail("dispatch of the current thread changed the state");
-    }
-    return SpecResult{};
-  }
-  if (!pre.threads.contains(t) || pre.get_thread(t).state != ThreadState::kRunnable) {
-    return Fail("dispatched thread was not runnable");
-  }
-  if (post.current != t || post.get_thread(t).state != ThreadState::kRunning) {
-    return Fail("dispatched thread is not running/current");
-  }
-  SpecSeq<ThrdPtr> expected = RemoveFirst(pre.run_queue, t);
-  SpecSet<ThrdPtr> touched{t};
-  if (pre.current != kNullPtr) {
-    expected = expected.push(pre.current);
-    touched.add(pre.current);
-    if (post.get_thread(pre.current).state != ThreadState::kRunnable) {
-      return Fail("preempted thread is not runnable");
-    }
-  }
-  if (!(post.run_queue == expected)) {
-    return Fail("run queue after dispatch differs from the specification");
-  }
-  if (!OnlySchedulerChanged(pre, post, touched)) {
-    return Fail("dispatch changed non-scheduler state");
-  }
-  return SpecResult{};
-}
-
-// averif-lint: allow(error-path) — the first clause rejects ANY non-kOk
-// return outright (yield is total), which is strictly stronger than failure
-// atomicity; the dispatcher establishes the atomicity obligation anyway.
+// Yield is total: it neither blocks nor fails. Its profile (threads,
+// scheduler) frames the rest of Ψ; within threads, only the two that trade
+// places may change, and only in their scheduler state.
 SpecResult YieldSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                      const SyscallRet& ret) {
   if (ret.error != SysError::kOk) {
@@ -286,7 +253,7 @@ SpecResult YieldSpec(const AbstractKernel& pre, const AbstractKernel& post, Thrd
   if (!(post.run_queue == expected)) {
     return Fail("run queue after yield differs from the specification");
   }
-  if (!OnlySchedulerChanged(pre, post, SpecSet<ThrdPtr>{t, next})) {
+  if (!ThreadsTouchedOnlyInState(pre, post, SpecSet<ThrdPtr>{t, next})) {
     return Fail("yield changed non-scheduler state");
   }
   return SpecResult{};
@@ -298,9 +265,6 @@ SpecResult YieldSpec(const AbstractKernel& pre, const AbstractKernel& post, Thrd
 
 SpecResult MmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                     const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("mmap never blocks");
   }
@@ -309,14 +273,8 @@ SpecResult MmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
     return Fail("mmap return value is not the mapped count");
   }
   const AbsThread& thread = pre.get_thread(t);
-
-  // The state of each thread is unchanged (Listing 1, lines 7-11); same for
-  // processes, endpoints, IOMMU and the scheduler.
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post) ||
-      !SchedulerUnchanged(pre, post)) {
-    return Fail("mmap changed unrelated kernel objects");
-  }
+  // "The state of each thread is unchanged" (Listing 1, lines 7-11), and so
+  // are processes, endpoints, IOMMU and the scheduler: mmap's frame profile.
 
   // Newly allocated pages were free (lines 19-22) and are now owned by the
   // caller's container.
@@ -401,20 +359,12 @@ SpecResult MmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
 
 SpecResult MunmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                       const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("munmap never blocks");
   }
   const VaRange& range = call.va_range;
   const AbsThread& thread = pre.get_thread(t);
 
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post) ||
-      !SchedulerUnchanged(pre, post)) {
-    return Fail("munmap changed unrelated kernel objects");
-  }
   if (!AddressSpacesUnchangedExcept(pre, post, SpecSet<ProcPtr>{thread.proc})) {
     return Fail("munmap changed other address spaces");
   }
@@ -490,9 +440,6 @@ SpecResult MunmapSpec(const AbstractKernel& pre, const AbstractKernel& post, Thr
 
 SpecResult NewContainerSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                             const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   CtnrPtr child = ret.value;
   CtnrPtr parent = pre.get_thread(t).ctnr;
   if (pre.containers.contains(child)) {
@@ -544,20 +491,11 @@ SpecResult NewContainerSpec(const AbstractKernel& pre, const AbstractKernel& pos
   if (!PagesUnchangedExcept(pre, post, fresh)) {
     return Fail("new_container changed unrelated pages");
   }
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) ||
-      !AddressSpacesUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post) ||
-      !SchedulerUnchanged(pre, post)) {
-    return Fail("new_container changed unrelated kernel objects");
-  }
   return SpecResult{};
 }
 
 SpecResult NewProcessSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                           const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   ProcPtr child = ret.value;
   const AbsThread& thread = pre.get_thread(t);
   if (pre.procs.contains(child) || !post.procs.contains(child)) {
@@ -604,9 +542,7 @@ SpecResult NewProcessSpec(const AbstractKernel& pre, const AbstractKernel& post,
       return Fail("new_process page not a fresh allocation owned by the container");
     }
   }
-  if (!PagesUnchangedExcept(pre, post, fresh) || !ThreadsUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post) ||
-      !SchedulerUnchanged(pre, post)) {
+  if (!PagesUnchangedExcept(pre, post, fresh)) {
     return Fail("new_process changed unrelated state");
   }
   return SpecResult{};
@@ -614,9 +550,6 @@ SpecResult NewProcessSpec(const AbstractKernel& pre, const AbstractKernel& post,
 
 SpecResult NewThreadSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                          const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   ThrdPtr child = ret.value;
   const AbsThread& thread = pre.get_thread(t);
   ProcPtr target = call.target == kNullPtr ? thread.proc : call.target;
@@ -649,9 +582,7 @@ SpecResult NewThreadSpec(const AbstractKernel& pre, const AbstractKernel& post, 
     return Fail("thread object page not a fresh allocation");
   }
   if (!PagesUnchangedExcept(pre, post, fresh) ||
-      !ThreadsUnchangedExcept(pre, post, SpecSet<ThrdPtr>{child}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) ||
-      !AddressSpacesUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post)) {
+      !ThreadsUnchangedExcept(pre, post, SpecSet<ThrdPtr>{child})) {
     return Fail("new_thread changed unrelated state");
   }
   return SpecResult{};
@@ -659,9 +590,6 @@ SpecResult NewThreadSpec(const AbstractKernel& pre, const AbstractKernel& post, 
 
 SpecResult NewEndpointSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                            const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   EdptPtr edpt = ret.value;
   const AbsThread& thread = pre.get_thread(t);
   if (pre.endpoints.contains(edpt) || !post.endpoints.contains(edpt)) {
@@ -689,9 +617,7 @@ SpecResult NewEndpointSpec(const AbstractKernel& pre, const AbstractKernel& post
     return Fail("endpoint object page not a fresh allocation");
   }
   if (!PagesUnchangedExcept(pre, post, fresh) ||
-      !EndpointsUnchangedExcept(pre, post, SpecSet<EdptPtr>{edpt}) ||
-      !ProcsUnchangedExcept(pre, post, {}) || !AddressSpacesUnchangedExcept(pre, post, {}) ||
-      !IommuUnchanged(pre, post) || !SchedulerUnchanged(pre, post)) {
+      !EndpointsUnchangedExcept(pre, post, SpecSet<EdptPtr>{edpt})) {
     return Fail("new_endpoint changed unrelated state");
   }
   return SpecResult{};
@@ -699,9 +625,6 @@ SpecResult NewEndpointSpec(const AbstractKernel& pre, const AbstractKernel& post
 
 SpecResult UnbindEndpointSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                               const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("unbind_endpoint never blocks");
   }
@@ -749,18 +672,12 @@ SpecResult UnbindEndpointSpec(const AbstractKernel& pre, const AbstractKernel& p
       return Fail("unbind changed memory state without freeing");
     }
   }
-  if (!ProcsUnchangedExcept(pre, post, {}) || !AddressSpacesUnchangedExcept(pre, post, {}) ||
-      !IommuUnchanged(pre, post) || !SchedulerUnchanged(pre, post)) {
-    return Fail("unbind changed unrelated kernel objects");
-  }
   return SpecResult{};
 }
 
 // ---------------------------------------------------------------------------
 // IPC
 // ---------------------------------------------------------------------------
-
-namespace {
 
 // Shared shape of the "sender blocks on the endpoint queue" outcome.
 SpecResult CheckBlockedOnEndpoint(const AbstractKernel& pre, const AbstractKernel& post,
@@ -785,7 +702,7 @@ SpecResult CheckBlockedOnEndpoint(const AbstractKernel& pre, const AbstractKerne
     return Fail("scheduler after blocking differs from the specification");
   }
   if (!ThreadsUnchangedExcept(pre, post, SpecSet<ThrdPtr>{t}) ||
-      !ProcsUnchangedExcept(pre, post, {}) || !ContainersUnchangedExcept(pre, post, {}) ||
+      !ContainersUnchangedExcept(pre, post, {}) ||
       !AddressSpacesUnchangedExcept(pre, post, {}) || !PagesUnchangedExcept(pre, post, {}) ||
       !IommuUnchanged(pre, post)) {
     return Fail("blocking changed unrelated state");
@@ -793,13 +710,8 @@ SpecResult CheckBlockedOnEndpoint(const AbstractKernel& pre, const AbstractKerne
   return SpecResult{};
 }
 
-}  // namespace
-
 SpecResult SendSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                     const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   const AbsThread& thread = pre.get_thread(t);
   EdptPtr edpt = thread.endpoints[call.edpt_idx];
   std::optional<IpcPayload> resolved = ResolvePayloadSpec(pre, t, call.payload);
@@ -839,9 +751,6 @@ SpecResult SendSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
 
 SpecResult RecvSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                     const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   const AbsThread& thread = pre.get_thread(t);
   EdptPtr edpt = thread.endpoints[call.edpt_idx];
 
@@ -877,9 +786,6 @@ SpecResult RecvSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
 
 SpecResult CallSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                     const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error != SysError::kBlocked) {
     return Fail("call always blocks awaiting the reply");
   }
@@ -913,9 +819,6 @@ SpecResult CallSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
 
 SpecResult ReplySpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                      const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("reply never blocks");
   }
@@ -937,13 +840,11 @@ SpecResult ReplySpec(const AbstractKernel& pre, const AbstractKernel& post, Thrd
 // The inverse relabeling of a kBorrow delivery: the borrower's read-only
 // view disappears, the lender's original rights come back, the page's
 // borrow mark clears and its pin count drops by one. The lender still maps
-// the frame, so nothing is ever released — no container, free-set,
-// endpoint, IOMMU or scheduler component may change.
+// the frame, so nothing is ever released: the frame profile (address
+// spaces, pages) keeps every container, free-set, endpoint, IOMMU and
+// scheduler component unchanged.
 SpecResult GrantReturnSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                            const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("grant return never blocks");
   }
@@ -987,8 +888,8 @@ SpecResult GrantReturnSpec(const AbstractKernel& pre, const AbstractKernel& post
   if (!post.pages.contains(page) || !(post.pages.at(page) == expect_info)) {
     return Fail("page relabeling at grant return differs from the specification");
   }
-  // Framing: the two touched slots, the two spaces, the one page — and
-  // nothing else anywhere in Ψ.
+  // Framing: the two touched slots, the two spaces, the one page; the
+  // profile frames the rest of Ψ.
   if (rec.lender == proc) {
     if (!SpecMap<VAddr, MapEntry>::AgreeExceptAt2(pre_bspace, post_bspace, va,
                                                   rec.lender_va)) {
@@ -1004,32 +905,18 @@ SpecResult GrantReturnSpec(const AbstractKernel& pre, const AbstractKernel& post
       !PagesUnchangedExcept(pre, post, SpecSet<PagePtr>{page})) {
     return Fail("grant return changed unrelated memory state");
   }
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
-      !ContainersUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post) ||
-      !RingsUnchangedExcept(pre, post, {}) || !SchedulerUnchanged(pre, post)) {
-    return Fail("grant return changed unrelated kernel objects");
-  }
-  if (!(pre.free_pages_4k == post.free_pages_4k) ||
-      !(pre.free_pages_2m == post.free_pages_2m) ||
-      !(pre.free_pages_1g == post.free_pages_1g)) {
-    return Fail("grant return changed the free sets");
-  }
   return SpecResult{};
 }
 
 // The introspection syscall (DESIGN.md §17): the kernel writes a counter
 // snapshot into a page the caller already maps writable. Ψ carries no page
 // byte contents, so "Ψ' == Ψ modulo the written page" collapses to exact
-// equality of every abstract component — the strongest frame any syscall
-// carries. Success additionally requires the evidence the kernel claims to
-// have checked: a writable, user-accessible mapping based at the
-// destination VA in the *pre* state.
-SpecResult ObsQuerySpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                        const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
+// equality of every abstract component — the empty frame profile, the
+// strongest any syscall carries. Success additionally requires the evidence
+// the kernel claims to have checked: a writable, user-accessible mapping
+// based at the destination VA in the *pre* state.
+SpecResult ObsQuerySpec(const AbstractKernel& pre, ThrdPtr t, const Syscall& call,
+                        const SyscallRet& ret) {
   if (ret.error == SysError::kBlocked) {
     return Fail("obs query never blocks");
   }
@@ -1046,19 +933,6 @@ SpecResult ObsQuerySpec(const AbstractKernel& pre, const AbstractKernel& post, T
   if (ret.value != sizeof(ObsQueryRecord)) {
     return Fail("obs query did not report the snapshot record size");
   }
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
-      !ContainersUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) ||
-      !AddressSpacesUnchangedExcept(pre, post, {}) ||
-      !PagesUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post) ||
-      !RingsUnchangedExcept(pre, post, {}) || !SchedulerUnchanged(pre, post)) {
-    return Fail("obs query changed abstract kernel state");
-  }
-  if (!(pre.free_pages_4k == post.free_pages_4k) ||
-      !(pre.free_pages_2m == post.free_pages_2m) ||
-      !(pre.free_pages_1g == post.free_pages_1g)) {
-    return Fail("obs query changed the free sets");
-  }
   return SpecResult{};
 }
 
@@ -1066,9 +940,8 @@ SpecResult ObsQuerySpec(const AbstractKernel& pre, const AbstractKernel& post, T
 // Exit / kill (property-style: exact removal sets + survivor framing)
 // ---------------------------------------------------------------------------
 
-// averif-lint: allow(error-path) — the first clause rejects ANY non-kOk
-// return outright (exit is total), which is strictly stronger than failure
-// atomicity; the dispatcher establishes the atomicity obligation anyway.
+// Exit is total: it neither blocks nor fails. Address spaces and the IOMMU
+// are outside its profile.
 SpecResult ExitSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                     const SyscallRet& ret) {
   if (ret.error != SysError::kOk) {
@@ -1136,9 +1009,6 @@ SpecResult ExitSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
   });
   if (!endpoints_ok) {
     return Fail("exit changed endpoints beyond reference release");
-  }
-  if (!AddressSpacesUnchangedExcept(pre, post, {}) || !IommuUnchanged(pre, post)) {
-    return Fail("exit changed address spaces or IOMMU state");
   }
   return SpecResult{};
 }
@@ -1211,10 +1081,7 @@ SpecResult CheckSurvivorSpacesAfterTeardown(const AbstractKernel& pre,
 }
 
 SpecResult KillProcessSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                           const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
+                           const Syscall& call) {
   ProcPtr target = call.target;
   // Doomed set: target's process subtree in pre.
   SpecSet<ProcPtr> doomed;
@@ -1261,10 +1128,7 @@ SpecResult KillProcessSpec(const AbstractKernel& pre, const AbstractKernel& post
 }
 
 SpecResult KillContainerSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                             const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
+                             const Syscall& call) {
   CtnrPtr target = call.target;
   SpecSet<CtnrPtr> doomed = pre.get_cntr(target).subtree.insert(target);
 
@@ -1337,34 +1201,10 @@ SpecResult KillContainerSpec(const AbstractKernel& pre, const AbstractKernel& po
 // IOMMU
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Framing shared by the five IOMMU predicates, after failure atomicity:
-// IOMMU ops never block and leave threads, procs, endpoints, address spaces
-// and the scheduler untouched. Returns the failure, if any.
-std::optional<SpecResult> CheckIommuFraming(const AbstractKernel& pre,
-                                            const AbstractKernel& post,
-                                            const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("IOMMU operations never block");
-  }
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ProcsUnchangedExcept(pre, post, {}) ||
-      !EndpointsUnchangedExcept(pre, post, {}) ||
-      !AddressSpacesUnchangedExcept(pre, post, {}) || !SchedulerUnchanged(pre, post)) {
-    return Fail("IOMMU op changed unrelated kernel objects");
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 SpecResult IommuCreateDomainSpec(const AbstractKernel& pre, const AbstractKernel& post,
                                  ThrdPtr t, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
-  if (auto framing = CheckIommuFraming(pre, post, ret)) {
-    return *framing;
+  if (ret.error == SysError::kBlocked) {
+    return Fail("IOMMU operations never block");
   }
   const AbsThread& thread = pre.get_thread(t);
   std::uint64_t domain = ret.value;
@@ -1388,14 +1228,8 @@ SpecResult IommuCreateDomainSpec(const AbstractKernel& pre, const AbstractKernel
 
 SpecResult IommuDeviceSpec(const AbstractKernel& pre, const AbstractKernel& post,
                            const Syscall& call, const SyscallRet& ret, bool attach) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
-  if (auto framing = CheckIommuFraming(pre, post, ret)) {
-    return *framing;
-  }
-  if (!PagesUnchangedExcept(pre, post, {}) || !ContainersUnchangedExcept(pre, post, {})) {
-    return Fail("device attach/detach changed memory state");
+  if (ret.error == SysError::kBlocked) {
+    return Fail("IOMMU operations never block");
   }
   // Exactly one domain's device set changed by the one device.
   std::uint64_t domain = attach ? call.iommu_domain
@@ -1424,11 +1258,8 @@ SpecResult IommuDeviceSpec(const AbstractKernel& pre, const AbstractKernel& post
 
 SpecResult IommuMapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
                            const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
-  if (auto framing = CheckIommuFraming(pre, post, ret)) {
-    return *framing;
+  if (ret.error == SysError::kBlocked) {
+    return Fail("IOMMU operations never block");
   }
   std::uint64_t domain = call.iommu_domain;
   const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
@@ -1449,11 +1280,8 @@ SpecResult IommuMapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post
 
 SpecResult IommuUnmapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
                              const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
-  if (auto framing = CheckIommuFraming(pre, post, ret)) {
-    return *framing;
+  if (ret.error == SysError::kBlocked) {
+    return Fail("IOMMU operations never block");
   }
   std::uint64_t domain = call.iommu_domain;
   const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
@@ -1481,9 +1309,6 @@ SpecResult IommuUnmapDmaSpec(const AbstractKernel& pre, const AbstractKernel& po
 
 SpecResult RingSetupSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                          const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("ring_setup never blocks");
   }
@@ -1501,28 +1326,16 @@ SpecResult RingSetupSpec(const AbstractKernel& pre, const AbstractKernel& post, 
       !r.cq.empty()) {
     return Fail("new ring fields differ from the specification");
   }
+  // Rings are bounded kernel bookkeeping, not page-backed objects: no
+  // allocation, no quota charge. The profile (rings only) says so.
   if (!RingsUnchangedExcept(pre, post, SpecSet<std::uint64_t>{id})) {
     return Fail("ring_setup changed other rings");
-  }
-  // Rings are bounded kernel bookkeeping, not page-backed objects: no
-  // allocation, no quota charge, nothing else moves.
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ContainersUnchangedExcept(pre, post, {}) ||
-      !ProcsUnchangedExcept(pre, post, {}) || !EndpointsUnchangedExcept(pre, post, {}) ||
-      !AddressSpacesUnchangedExcept(pre, post, {}) || !PagesUnchangedExcept(pre, post, {}) ||
-      !(pre.free_pages_4k == post.free_pages_4k) ||
-      !(pre.free_pages_2m == post.free_pages_2m) ||
-      !(pre.free_pages_1g == post.free_pages_1g) || !IommuUnchanged(pre, post) ||
-      !SchedulerUnchanged(pre, post)) {
-    return Fail("ring_setup changed unrelated state");
   }
   return SpecResult{};
 }
 
 SpecResult RingSubmitSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                           const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("ring_submit never blocks");
   }
@@ -1551,23 +1364,17 @@ SpecResult RingSubmitSpec(const AbstractKernel& pre, const AbstractKernel& post,
   if (ret.value != pre_r.sq.len() + 1) {
     return Fail("submit return is not the new SQ depth");
   }
-  if (!ThreadsUnchangedExcept(pre, post, {}) || !ContainersUnchangedExcept(pre, post, {}) ||
-      !ProcsUnchangedExcept(pre, post, {}) || !EndpointsUnchangedExcept(pre, post, {}) ||
-      !AddressSpacesUnchangedExcept(pre, post, {}) || !PagesUnchangedExcept(pre, post, {}) ||
-      !(pre.free_pages_4k == post.free_pages_4k) ||
-      !(pre.free_pages_2m == post.free_pages_2m) ||
-      !(pre.free_pages_1g == post.free_pages_1g) || !IommuUnchanged(pre, post) ||
-      !SchedulerUnchanged(pre, post)) {
-    return Fail("ring_submit changed unrelated state");
-  }
   return SpecResult{};
 }
 
+// One kRingEnter is ONE checked transition covering the whole drained batch.
+// The spec pins the ring's own evolution exactly (drain count, SQ tail
+// retained, CQ append order) and leaves the drained entries' effects on the
+// rest of Ψ to the frame profile, TotalWf, the audit and the differential
+// oracle (tests/ring_batch_differential_test.cc) — that division of labor is
+// the batch amortization (DESIGN.md §13).
 SpecResult RingEnterSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                          const Syscall& call, const SyscallRet& ret) {
-  if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
-    return *atomic;  // covers the kRingDrainAtomic rollback (kWouldFault)
-  }
   if (ret.error == SysError::kBlocked) {
     return Fail("ring_enter never blocks");
   }
@@ -1624,24 +1431,66 @@ SpecResult RingEnterSpec(const AbstractKernel& pre, const AbstractKernel& post, 
     return Fail("enter changed other rings");
   }
   // The drained entries' effects on the rest of Ψ are deliberately NOT
-  // restated here (see the header comment): the per-call path is the
-  // differential oracle for them.
+  // restated here (see above): the per-call path is the differential
+  // oracle for them.
+  return SpecResult{};
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Dispatch (no syscall, so no table row: it states its own frame)
+// ---------------------------------------------------------------------------
+
+SpecResult DispatchSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t) {
+  if (pre.current == t) {
+    if (!(pre == post)) {
+      return Fail("dispatch of the current thread changed the state");
+    }
+    return SpecResult{};
+  }
+  if (!pre.threads.contains(t) || pre.get_thread(t).state != ThreadState::kRunnable) {
+    return Fail("dispatched thread was not runnable");
+  }
+  if (post.current != t || post.get_thread(t).state != ThreadState::kRunning) {
+    return Fail("dispatched thread is not running/current");
+  }
+  SpecSeq<ThrdPtr> expected = RemoveFirst(pre.run_queue, t);
+  SpecSet<ThrdPtr> touched{t};
+  if (pre.current != kNullPtr) {
+    expected = expected.push(pre.current);
+    touched.add(pre.current);
+    if (post.get_thread(pre.current).state != ThreadState::kRunnable) {
+      return Fail("preempted thread is not runnable");
+    }
+  }
+  if (!(post.run_queue == expected)) {
+    return Fail("run queue after dispatch differs from the specification");
+  }
+  if (!OnlySchedulerChanged(pre, post, touched)) {
+    return Fail("dispatch changed non-scheduler state");
+  }
   return SpecResult{};
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher
+// Syscall dispatcher
 // ---------------------------------------------------------------------------
 
 SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                        const Syscall& call, const SyscallRet& ret) {
-  // Failure atomicity holds globally — any hard error leaves Ψ unchanged,
-  // whatever the op. The per-op specs restate the same guard so each stays
-  // self-contained; establishing it here first means even ops whose specs
-  // reject errors outright (yield, exit) carry the machine-checked
-  // obligation.
+  // Failure atomicity holds for every op: a hard error leaves Ψ unchanged
+  // (including a kRingDrainAtomic rollback's kWouldFault), so no per-op
+  // spec runs on an error.
   if (auto atomic = CheckFailureAtomicity(pre, post, ret)) {
     return *atomic;
+  }
+  // The frame column of the syscall table: components outside the op's
+  // profile are untouched. Checked before the per-op spec, which may look
+  // up objects of the post state that a forged transition dropped.
+  std::string frame = FrameProfileViolation(pre, post, FrameProfileFor(call.op));
+  if (!frame.empty()) {
+    return Fail("frame profile violated: out-of-frame component changed: " + frame);
   }
   switch (call.op) {
     case SysOp::kYield:
@@ -1671,9 +1520,9 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kExit:
       return ExitSpec(pre, post, t, ret);
     case SysOp::kKillProcess:
-      return KillProcessSpec(pre, post, t, call, ret);
+      return KillProcessSpec(pre, post, t, call);
     case SysOp::kKillContainer:
-      return KillContainerSpec(pre, post, t, call, ret);
+      return KillContainerSpec(pre, post, t, call);
     case SysOp::kIommuCreateDomain:
       return IommuCreateDomainSpec(pre, post, t, ret);
     case SysOp::kIommuAttachDevice:
@@ -1693,7 +1542,7 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kGrantReturn:
       return GrantReturnSpec(pre, post, t, call, ret);
     case SysOp::kObsQuery:
-      return ObsQuerySpec(pre, post, t, call, ret);
+      return ObsQuerySpec(pre, t, call, ret);
   }
   return Fail("unknown syscall");
 }

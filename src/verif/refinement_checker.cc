@@ -5,7 +5,6 @@
 
 #include "src/obs/alloc_hook.h"
 #include "src/obs/flight_recorder.h"
-#include "src/spec/frame_profile.h"
 #include "src/vstd/check.h"
 #include "src/vstd/thread_annotations.h"
 
@@ -24,21 +23,22 @@ std::uint64_t NowNs() {
 
 void RefinementChecker::Capture() {
   // Drain in both modes: the logs are append-only and must not grow without
-  // bound across a long full-rebuild run.
-  DirtySet dirty = kernel_->DrainDirty();
+  // bound across a long full-rebuild run. dirty_ keeps its capacity, so a
+  // drain under the high-water mark allocates nothing.
+  kernel_->DrainDirty(&dirty_);
   // Nodes written while patching Ψ land in the checker's arena (or the
   // heap when use_arena is off — ArenaScope(nullptr) is the heap).
   ArenaScope arena_scope(arena_);
   std::uint64_t t0 = NowNs();
-  if (options_.incremental && cached_ && !dirty.overflow) {
-    std::uint64_t entries = dirty.TotalEntries();
+  if (options_.incremental && cached_ && !dirty_.overflow) {
+    std::uint64_t entries = dirty_.TotalEntries();
     stats_.dirty_entries += entries;
     if (entries > stats_.max_dirty_entries) {
       stats_.max_dirty_entries = entries;
     }
     ++stats_.delta_abstractions;
     ATMO_OBS_SPAN_ARG(obs::kCatCheck, "check.abstract_delta", "dirty_entries", entries);
-    kernel_->AbstractDelta(&*cached_, dirty);
+    kernel_->AbstractDelta(&*cached_, dirty_);
   } else {
     ++stats_.full_abstractions;
     ATMO_OBS_SPAN(obs::kCatCheck, "check.abstract_full");
@@ -60,7 +60,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   if (options_.use_arena && arena_ == nullptr) {
     // Made on the stepping thread: a pool serves only its owner thread from
     // its free lists (src/vstd/arena.h).
-    arena_ = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
+    arena_ = std::make_shared<SpecArena>();
   }
   obs::AllocProbe heap_probe;
   // Flight-recorder span for the whole checked syscall; the trailing 'E'
@@ -87,24 +87,16 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   Capture();  // *cached_ is Ψ' from here on
 
   t0 = NowNs();
+  // SyscallSpec checks failure atomicity, then the op's frame profile
+  // (frame_profile.h), then the op's own effect.
   SpecResult spec = [&] {
     ATMO_OBS_SPAN(obs::kCatCheck, "check.spec");
     ArenaScope arena_scope(arena_);
     return SyscallSpec(mid, *cached_, t, call, ret);
   }();
-  // The declarative frame-condition table (frame_profile.h) is checked in
-  // the same pass: components outside the op's profile must be untouched.
-  std::string frame = [&] {
-    ATMO_OBS_SPAN(obs::kCatCheck, "check.frame");
-    ArenaScope arena_scope(arena_);
-    return FrameProfileViolation(mid, *cached_, FrameProfileFor(call.op));
-  }();
   stats_.spec_ns += NowNs() - t0;
   ATMO_CHECK(spec.ok, std::string("syscall refinement failed (") + SysOpName(call.op) +
                           ", ret " + SysErrorName(ret.error) + "): " + spec.detail);
-  ATMO_CHECK(frame.empty(), std::string("frame profile violated (") + SysOpName(call.op) +
-                                ", ret " + SysErrorName(ret.error) +
-                                "): out-of-frame component changed: " + frame);
 
   ++stats_.steps;
   if (call.op == SysOp::kRingEnter && ret.ok()) {

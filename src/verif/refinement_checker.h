@@ -6,7 +6,8 @@
 //   1. capture Ψ  = Abstract(kernel)          (abstraction function)
 //   2. run the concrete Dispatch / Exec
 //   3. capture Ψ' = Abstract(kernel)
-//   4. check DispatchSpec / SyscallSpec(Ψ, Ψ', t, call, ret)
+//   4. check DispatchSpec / SyscallSpec(Ψ, Ψ', t, call, ret) — failure
+//      atomicity, the op's frame profile, then the op's own effect
 //   5. check total_wf(kernel)                  (well-formedness theorem)
 //
 // Incremental mode (the default) maintains Ψ across steps: each capture
@@ -40,7 +41,7 @@ namespace atmo {
 struct CheckStats {
   std::uint64_t steps = 0;
   std::uint64_t abstraction_ns = 0;  // time in Abstract()/AbstractDelta()
-  std::uint64_t spec_ns = 0;         // time in DispatchSpec/SyscallSpec
+  std::uint64_t spec_ns = 0;         // time in DispatchSpec/SyscallSpec (frame check included)
   std::uint64_t wf_ns = 0;           // time in TotalWf()
   std::uint64_t audit_ns = 0;        // time in full-Abstract audit passes
   std::uint64_t wf_checks = 0;       // number of TotalWf() evaluations
@@ -77,10 +78,6 @@ class RefinementChecker {
     // through its free lists (DESIGN.md §14). false = global heap, kept as
     // the measurement baseline for the allocations-per-step gate.
     bool use_arena = true;
-    // Bytes preallocated for the arena at first Step. 0 = grow on demand.
-    // SweepHarness sets this so shards never touch the global heap for
-    // chunk growth on the hot path.
-    std::size_t arena_reserve_bytes = 0;
   };
 
   RefinementChecker(Kernel* kernel, const Options& options)
@@ -120,6 +117,8 @@ class RefinementChecker {
   std::shared_ptr<SpecArena> arena_;
   // The audit's free-list scratch (Kernel::AbstractionMismatch).
   FrameBitmap audit_marks_;
+  // Each capture's drained dirty set, refilled in place.
+  DirtySet dirty_;
 };
 
 }  // namespace atmo

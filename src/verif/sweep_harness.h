@@ -143,13 +143,10 @@ class SweepHarness {
     std::uint64_t shards = 8;
     std::uint64_t steps_per_shard = 1000;
     unsigned workers = 1;
-    // Trace-scale checker defaults: sampled total_wf, periodic audit, and a
-    // preallocated chunk per shard arena so shards never grow chunks from
-    // the global heap mid-trace (the percpu/prealloc idiom, DESIGN.md §14).
+    // Trace-scale checker defaults: sampled total_wf, periodic audit.
     RefinementChecker::Options checker{
         .check_wf_every = 16, .audit_every = 64, .incremental = true,
-        .use_arena = true,
-        .arena_reserve_bytes = SpecArena::kDefaultChunkBytes};
+        .use_arena = true};
     FaultHook fault_hook;
     // Mix syscall-ring ops (setup/submit/enter) into the generated traces.
     // Off by default so the long-standing sweep goldens keep their exact

@@ -71,8 +71,9 @@ class SpecArena {
   // beside a block it updates in place.
   class Pool;
 
-  explicit SpecArena(std::size_t reserve_bytes = 0,
-                     std::size_t chunk_bytes = kDefaultChunkBytes);
+  // Chunks of `chunk_bytes` are added on demand, the first one by the first
+  // Allocate.
+  explicit SpecArena(std::size_t chunk_bytes = kDefaultChunkBytes);
   ~SpecArena();
 
   SpecArena(const SpecArena&) = delete;
@@ -153,15 +154,11 @@ class SpecArena::Pool {
     std::size_t size;
   };
 
-  Pool(std::size_t reserve_bytes, std::size_t chunk_bytes)
+  explicit Pool(std::size_t chunk_bytes)
       : chunk_bytes_(chunk_bytes < kMaxClassBytes + kHeaderBytes
                          ? kMaxClassBytes + kHeaderBytes
                          : chunk_bytes),
-        owner_(std::this_thread::get_id()) {
-    while (stats_.chunk_bytes < reserve_bytes) {
-      AddChunk();
-    }
-  }
+        owner_(std::this_thread::get_id()) {}
 
   ~Pool() {
     for (Chunk& c : chunks_) {
@@ -279,8 +276,7 @@ class SpecArena::Pool {
   std::atomic<std::uint64_t> foreign_frees_{0};
 };
 
-inline SpecArena::SpecArena(std::size_t reserve_bytes, std::size_t chunk_bytes)
-    : pool_(new Pool(reserve_bytes, chunk_bytes)) {}
+inline SpecArena::SpecArena(std::size_t chunk_bytes) : pool_(new Pool(chunk_bytes)) {}
 
 inline SpecArena::~SpecArena() { pool_->Unref(); }
 

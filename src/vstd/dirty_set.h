@@ -10,39 +10,53 @@
 //
 // The log is an append-only vector (duplicates allowed — deduplication
 // happens once, at drain time) so the uninstrumented hot path pays one
-// push_back per mutation. If a log grows past kCap without being drained
+// push_back per mutation. The DirtySet is flat too: each kind is a vector,
+// sorted and deduplicated by the drain, that its owner clears and refills
+// every step, so both keep their capacity and a drain under the high-water
+// mark allocates nothing. If a log grows past kCap without being drained
 // (a long unchecked run), recording stops and the drain reports `overflow`,
 // which makes the next delta-abstraction fall back to a full rebuild.
 
 #ifndef ATMO_SRC_VSTD_DIRTY_SET_H_
 #define ATMO_SRC_VSTD_DIRTY_SET_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/vstd/types.h"
 
 namespace atmo {
 
-// One step's worth of touched object ids, per kind.
+// One step's worth of touched object ids, per kind, each sorted ascending
+// without duplicates.
 struct DirtySet {
-  std::set<CtnrPtr> ctnrs;
-  std::set<ProcPtr> procs;
-  std::set<ThrdPtr> thrds;
-  std::set<EdptPtr> edpts;
-  std::set<PagePtr> pages;                // 4 KiB frame base addresses
-  std::set<ProcPtr> spaces;               // address spaces (by process)
-  std::set<std::uint64_t> iommu_domains;  // IommuDomainId
-  std::set<std::uint64_t> rings;          // syscall ring ids
-  bool scheduler = false;                 // run queue / current thread
-  bool overflow = false;                  // some log overflowed: full rebuild
+  std::vector<CtnrPtr> ctnrs;
+  std::vector<ProcPtr> procs;
+  std::vector<ThrdPtr> thrds;
+  std::vector<EdptPtr> edpts;
+  std::vector<PagePtr> pages;                // 4 KiB frame base addresses
+  std::vector<ProcPtr> spaces;               // address spaces (by process)
+  std::vector<std::uint64_t> iommu_domains;  // IommuDomainId
+  std::vector<std::uint64_t> rings;          // syscall ring ids
+  bool scheduler = false;                    // run queue / current thread
+  bool overflow = false;                     // some log overflowed: full rebuild
 
   std::size_t TotalEntries() const {
     return ctnrs.size() + procs.size() + thrds.size() + edpts.size() + pages.size() +
            spaces.size() + iommu_domains.size() + rings.size();
   }
   bool Empty() const { return TotalEntries() == 0 && !scheduler && !overflow; }
+
+  // Empties every kind, keeping the vectors' capacity.
+  void Clear() {
+    for (std::vector<std::uint64_t>* ids :
+         {&ctnrs, &procs, &thrds, &edpts, &pages, &spaces, &iommu_domains, &rings}) {
+      ids->clear();
+    }
+    scheduler = false;
+    overflow = false;
+  }
 };
 
 // Append-only per-subsystem mutation log. All kernel object ids are
@@ -68,15 +82,16 @@ class DirtyLog {
   bool overflow() const { return overflow_; }
   std::size_t pending() const { return log_.size(); }
 
-  // Dedups into `out`, sets `*overflow_out` if the log overflowed, and
-  // resets the log.
-  template <typename Id>
-  void DrainInto(std::set<Id>* out, bool* overflow_out) {
+  // Merges the log into `out`, leaving it sorted and deduplicated; sets
+  // `*overflow_out` if the log overflowed; resets the log.
+  void DrainInto(std::vector<std::uint64_t>* out, bool* overflow_out) {
     if (overflow_) {
       *overflow_out = true;
     } else {
-      // averif-lint: allow(hot-path-alloc) — dedup into the caller's set happens once per checker capture, bounded by dirty-entry count and the dynamic AllocProbe gate
-      out->insert(log_.begin(), log_.end());
+      // averif-lint: allow(hot-path-alloc) — the caller's vector keeps its capacity across drains (DirtySet::Clear), so it grows only past the dirty-entry high-water mark
+      out->insert(out->end(), log_.begin(), log_.end());
+      std::sort(out->begin(), out->end());
+      out->erase(std::unique(out->begin(), out->end()), out->end());
     }
     log_.clear();
     overflow_ = false;

@@ -13,8 +13,8 @@
 #define ATMO_SRC_VSTD_PERMISSION_MAP_H_
 
 #include <map>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "src/vstd/check.h"
 #include "src/vstd/dirty_set.h"
@@ -98,7 +98,7 @@ class PermissionMap {
   }
 
   // Dedup-drains the mutation log into `out` (incremental abstraction).
-  void DrainDirtyInto(std::set<Ptr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
+  void DrainDirtyInto(std::vector<Ptr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
   // Deep copy for the verification harness only (see PointsTo). The clone
   // starts with an empty mutation log (its first abstraction is full).

@@ -84,7 +84,7 @@ TEST(SpecArenaTest, ChunkGrowthAndReuse) {
   // Minimum chunk size: each chunk holds only a few 4K-class blocks, so a
   // burst of allocations must grow the arena, and a Reset must make the
   // grown capacity reusable without further growth.
-  SpecArena arena(/*reserve_bytes=*/0, /*chunk_bytes=*/SpecArena::kMaxClassBytes + 64);
+  SpecArena arena(/*chunk_bytes=*/SpecArena::kMaxClassBytes + 64);
   std::vector<void*> blocks;
   for (int i = 0; i < 16; ++i) {
     blocks.push_back(arena.Allocate(SpecArena::kMaxClassBytes));
@@ -109,16 +109,17 @@ TEST(SpecArenaTest, ChunkGrowthAndReuse) {
   EXPECT_EQ(arena.stats().chunks, grown_chunks);  // capacity reused, not regrown
 }
 
-TEST(SpecArenaTest, ReserveBytesPreallocates) {
+TEST(SpecArenaTest, FirstChunkHoldsABurst) {
+  // Nothing is reserved up front; the first Allocate adds one chunk of
+  // chunk_bytes, and a burst that fits in it must not add another.
   SpecArena arena(3 * SpecArena::kDefaultChunkBytes);
-  EXPECT_GE(arena.reserved(), 3u * SpecArena::kDefaultChunkBytes);
-  std::uint64_t chunks = arena.stats().chunks;
-  // A reserve-sized burst must not add chunks.
+  EXPECT_EQ(arena.reserved(), 0u);
   std::vector<void*> blocks;
   for (int i = 0; i < 100; ++i) {
     blocks.push_back(arena.Allocate(1024));
   }
-  EXPECT_EQ(arena.stats().chunks, chunks);
+  EXPECT_EQ(arena.stats().chunks, 1u);
+  EXPECT_GE(arena.reserved(), 3u * SpecArena::kDefaultChunkBytes);
   for (void* p : blocks) {
     SpecArena::Deallocate(p);
   }
@@ -253,8 +254,7 @@ TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
   TraceFixture arena_f = TraceFixture::Boot();
   TraceFixture heap_f = TraceFixture::Boot();
   RefinementChecker::Options arena_opt{.check_wf_every = 16, .audit_every = 32,
-                                       .incremental = true, .use_arena = true,
-                                       .arena_reserve_bytes = SpecArena::kDefaultChunkBytes};
+                                       .incremental = true, .use_arena = true};
   RefinementChecker::Options heap_opt{.check_wf_every = 16, .audit_every = 32,
                                       .incremental = true, .use_arena = false};
   RefinementChecker arena_c(&arena_f.kernel, arena_opt);
@@ -344,7 +344,8 @@ TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
       // And a well-formed one.
       ASSERT_TRUE(pooled.TotalWf().ok) << "step " << i;
       // Clone semantics: the pooled copy starts with empty mutation logs.
-      DirtySet dirty = pooled.DrainDirty();
+      DirtySet dirty;
+      pooled.DrainDirty(&dirty);
       EXPECT_TRUE(dirty.Empty()) << "step " << i;
     }
   }

@@ -100,17 +100,6 @@ TEST(AverifLintTest, IndexNotRefilledInPooledCloneFires) {
   EXPECT_EQ(BinaryExit("--root " + FixtureRoot("index_not_refilled")), 1);
 }
 
-TEST(AverifLintTest, ErrorPathFiresAndHonoursWaiver) {
-  std::vector<Finding> findings = Lint(FixtureRoot("error_path"));
-  std::vector<Finding> hits = WithRule(findings, "error-path");
-  // MmapSpec fires; MunmapSpec (atomicity first) and YieldSpec (waived) do
-  // not.
-  ASSERT_EQ(hits.size(), 1u) << ToText(findings, false);
-  EXPECT_NE(hits[0].message.find("MmapSpec"), std::string::npos);
-  EXPECT_EQ(findings.size(), hits.size()) << ToText(findings, false);
-  EXPECT_EQ(BinaryExit("--root " + FixtureRoot("error_path")), 1);
-}
-
 // ---------------------------------------------------------------------------
 // Interprocedural rules (call graph + ATMO_HOT_PATH roots).
 // ---------------------------------------------------------------------------
@@ -358,19 +347,19 @@ TEST(AverifLintTest, BaselineFlagGatesExitCode) {
 // ---------------------------------------------------------------------------
 
 TEST(AverifLintTest, JsonReportIsMachineReadable) {
-  std::vector<Finding> findings = Lint(FixtureRoot("error_path"));
+  std::vector<Finding> findings = Lint(FixtureRoot("unlogged_mutator"));
   std::string json = ToJson(findings);
-  EXPECT_NE(json.find("\"rule\": \"error-path\""), std::string::npos);
-  EXPECT_NE(json.find("\"file\": \"src/spec/syscall_specs.cc\""), std::string::npos);
+  EXPECT_NE(json.find("\"rule\": \"dirty-log\""), std::string::npos);
+  EXPECT_NE(json.find("\"file\": \"src/core/vm_manager.h\""), std::string::npos);
   EXPECT_NE(json.find("\"line\": "), std::string::npos);
   EXPECT_EQ(ToJson({}), "[]\n");
 }
 
 TEST(AverifLintTest, FixSuggestionsPrintSkeletons) {
-  std::vector<Finding> findings = Lint(FixtureRoot("error_path"));
+  std::vector<Finding> findings = Lint(FixtureRoot("unlogged_mutator"));
   std::string text = ToText(findings, /*fix_suggestions=*/true);
-  EXPECT_NE(text.find("fix: start the predicate with `if (auto atomic = "
-                      "CheckFailureAtomicity(pre, post, ret)) { return *atomic; }`"),
+  EXPECT_NE(text.find("fix: record the mutation (e.g. `dirty_.Mark...)`) or waive with "
+                      "`// averif-lint: allow(dirty-log) — <why>`"),
             std::string::npos)
       << text;
   EXPECT_EQ(ToText(findings, /*fix_suggestions=*/false).find("fix:"), std::string::npos);
@@ -380,8 +369,8 @@ TEST(AverifLintTest, FixSuggestionsPrintSkeletons) {
 // skipping the rule — the CI guarantee that a renamed file cannot disable
 // the checker.
 TEST(AverifLintTest, StrictModeFlagsMissingInputs) {
-  std::vector<Finding> lenient = Lint(FixtureRoot("error_path"), /*strict=*/false);
-  std::vector<Finding> strict = Lint(FixtureRoot("error_path"), /*strict=*/true);
+  std::vector<Finding> lenient = Lint(FixtureRoot("unlogged_mutator"), /*strict=*/false);
+  std::vector<Finding> strict = Lint(FixtureRoot("unlogged_mutator"), /*strict=*/true);
   EXPECT_EQ(lenient.size(), 1u);
   EXPECT_GT(strict.size(), lenient.size());
   bool missing_reported = false;

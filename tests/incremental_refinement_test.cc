@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "src/core/kernel.h"
+#include "src/obs/alloc_hook.h"
 #include "src/verif/refinement_checker.h"
 #include "src/verif/trace_gen.h"
 #include "src/vstd/check.h"
+#include "src/vstd/dirty_set.h"
 #include "src/vstd/spec_map.h"
 #include "src/vstd/spec_set.h"
 
@@ -96,6 +98,39 @@ TEST(IncrementalRefinementTest, CachedAddressSpaceSharesTheStoreWithSuperpages) 
   const SpecMap<VAddr, MapEntry>& store = kernel.vm().TableOf(proc.value).AddressSpace();
   EXPECT_EQ(store.size(), 3u);
   EXPECT_TRUE(checker.cached()->address_spaces.at(proc.value).SharesRepWith(store));
+}
+
+// ---------------------------------------------------------------------------
+// Dirty-log drains: sorted, deduplicated, allocation-free below the
+// high-water mark
+// ---------------------------------------------------------------------------
+
+TEST(DirtyLogTest, DrainSortsDedupsAndReusesCapacity) {
+  DirtyLog log;
+  std::vector<std::uint64_t> out;
+  bool overflow = false;
+  for (std::uint64_t id : {0x5000, 0x1000, 0x3000, 0x1000, 0x5000, 0x2000}) {
+    log.Mark(id);
+  }
+  log.DrainInto(&out, &overflow);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0x1000, 0x2000, 0x3000, 0x5000}));
+  EXPECT_FALSE(overflow);
+  EXPECT_EQ(log.pending(), 0u);
+
+  if (!obs::HeapCountingActive()) {
+    GTEST_SKIP() << "heap counting hook not linked";
+  }
+  // The next step marks no more ids than the first: the log and the drained
+  // vector both refill within the capacity they kept.
+  out.clear();
+  obs::AllocProbe probe;
+  for (std::uint64_t id : {0x4000, 0x3000, 0x4000, 0x1000}) {
+    log.Mark(id);
+  }
+  log.DrainInto(&out, &overflow);
+  std::uint64_t allocs = probe.allocs();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{0x1000, 0x3000, 0x4000}));
 }
 
 // ---------------------------------------------------------------------------
@@ -215,7 +250,8 @@ class AuditInjectionTest : public ::testing::TestWithParam<Injection> {
 TEST_P(AuditInjectionTest, CatchesForgedDirtySet) {
   EstablishCache();
   GetParam().mutate(&f_);
-  f_.kernel.DrainDirty();  // the forged (empty) dirty set
+  DirtySet discarded;
+  f_.kernel.DrainDirty(&discarded);  // the forged (empty) dirty set
 
   ScopedThrowOnCheckFailure guard;
   try {

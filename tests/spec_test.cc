@@ -18,6 +18,7 @@
 #include "src/spec/frame_conditions.h"
 #include "src/spec/frame_profile.h"
 #include "src/spec/syscall_specs.h"
+#include "src/vstd/check.h"
 
 namespace atmo {
 namespace {
@@ -265,6 +266,109 @@ TEST_F(SpecMutationTest, ExitSpecRejectsSurvivingThread) {
   AbstractKernel post = c.post;
   post.threads.set(victim.value, c.pre.threads.at(victim.value));  // zombie
   EXPECT_FALSE(SyscallSpec(c.pre, post, c.t, c.call, c.ret).ok);
+}
+
+// ---------------------------------------------------------------------------
+// The dispatcher's shared obligations, over the whole syscall table
+// ---------------------------------------------------------------------------
+
+// One component of Ψ: its frame-profile bit, the name FrameProfileViolation
+// reports for it, and a forgery that changes it by adding a bogus entry
+// (which changes the component even where it is empty).
+struct Component {
+  bool FrameProfile::*in_profile;
+  const char* name;
+  void (*forge)(AbstractKernel*);
+};
+
+constexpr Ptr kBogus = 0xdead000;
+
+constexpr Component kComponents[] = {
+    {&FrameProfile::threads, "threads",
+     [](AbstractKernel* s) { s->threads.set(kBogus, AbsThread{}); }},
+    {&FrameProfile::containers, "containers",
+     [](AbstractKernel* s) { s->containers.set(kBogus, AbsContainer{}); }},
+    {&FrameProfile::procs, "procs",
+     [](AbstractKernel* s) { s->procs.set(kBogus, AbsProcess{}); }},
+    {&FrameProfile::endpoints, "endpoints",
+     [](AbstractKernel* s) { s->endpoints.set(kBogus, AbsEndpoint{}); }},
+    {&FrameProfile::address_spaces, "address_spaces",
+     [](AbstractKernel* s) { s->address_spaces.set(kBogus, SpecMap<VAddr, MapEntry>{}); }},
+    {&FrameProfile::pages, "pages",
+     [](AbstractKernel* s) { s->pages.set(kBogus, AbsPageInfo{}); }},
+    {&FrameProfile::free_sets, "free_sets",
+     [](AbstractKernel* s) { s->free_pages_4k.add(kBogus); }},
+    {&FrameProfile::iommu, "iommu",
+     [](AbstractKernel* s) { s->iommu_domains.set(kBogus, AbsIommuDomain{}); }},
+    {&FrameProfile::rings, "rings",
+     [](AbstractKernel* s) { s->rings.set(kBogus, AbsSyscallRing{}); }},
+    {&FrameProfile::scheduler, "scheduler",
+     [](AbstractKernel* s) { s->run_queue = s->run_queue.push(kBogus); }},
+};
+
+// SyscallSpec, with a check failure inside it (a per-op spec indexing an
+// object the forged state lacks) reported as a failed verdict instead of
+// ending the test binary.
+SpecResult GuardedSyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
+                              const Syscall& call, const SyscallRet& ret) {
+  ScopedThrowOnCheckFailure guard;
+  try {
+    return SyscallSpec(pre, post, t, call, ret);
+  } catch (const CheckViolation& violation) {
+    return SpecResult::Fail("spec aborted: " + violation.event().message);
+  }
+}
+
+TEST_F(SpecMutationTest, DispatcherRejectsEveryOutOfFrameChange) {
+  // Every op × every component outside its profile: a successful return
+  // over a state that changed that component must fail, naming it.
+  FrameProfile listed;
+  for (const Component& c : kComponents) {
+    listed.*c.in_profile = true;
+  }
+  ASSERT_EQ(listed, kWidestFrameProfile) << "a FrameProfile component is missing here";
+  kernel_->Dispatch(thrd_);
+  AbstractKernel pre = kernel_->Abstract();
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < kSysOpCount; ++i) {
+    Syscall call;
+    call.op = static_cast<SysOp>(i);
+    for (const Component& c : kComponents) {
+      if (FrameProfileFor(call.op).*c.in_profile) {
+        continue;
+      }
+      AbstractKernel post = pre;
+      c.forge(&post);
+      SpecResult r = GuardedSyscallSpec(pre, post, thrd_, call, SyscallRet{SysError::kOk, 0});
+      EXPECT_FALSE(r.ok) << SysOpName(call.op) << " accepted a change to " << c.name;
+      EXPECT_NE(r.detail.find(std::string("out-of-frame component changed: ") + c.name),
+                std::string::npos)
+          << SysOpName(call.op) << " / " << c.name << ": " << r.detail;
+      ++cells;
+    }
+  }
+  EXPECT_GT(cells, 0u);
+}
+
+TEST_F(SpecMutationTest, DispatcherRejectsEveryChangeOnError) {
+  // Every op × every component, in its profile or not: a failed return over
+  // a changed state must fail on atomicity, which the dispatcher checks
+  // before the frame profile.
+  kernel_->Dispatch(thrd_);
+  AbstractKernel pre = kernel_->Abstract();
+  for (std::size_t i = 0; i < kSysOpCount; ++i) {
+    Syscall call;
+    call.op = static_cast<SysOp>(i);
+    for (const Component& c : kComponents) {
+      AbstractKernel post = pre;
+      c.forge(&post);
+      SpecResult r =
+          GuardedSyscallSpec(pre, post, thrd_, call, SyscallRet{SysError::kInvalid, 0});
+      EXPECT_FALSE(r.ok) << SysOpName(call.op) << " / " << c.name;
+      EXPECT_NE(r.detail.find("atomicity violated"), std::string::npos)
+          << SysOpName(call.op) << " / " << c.name << ": " << r.detail;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

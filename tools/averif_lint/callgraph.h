@@ -106,7 +106,6 @@ class Project {
   // skipped (the per-rule strict checks own missing-input reporting).
   static Project Load(const std::string& root);
 
-  const std::vector<SourceFile>& files() const { return files_; }
   const std::vector<FunctionInfo>& functions() const { return functions_; }
   const std::vector<GuardedMember>& guarded_members() const { return guarded_; }
 

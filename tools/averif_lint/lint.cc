@@ -27,13 +27,6 @@ std::vector<Finding> RunAllRules(const Options& options) {
   RuleTraceStageCoverage(options, project, &findings);
   RuleLockDiscipline(options, project, &findings);
   RuleGrantLifetime(options, project, &findings);
-  for (const SourceFile& f : project.files()) {
-    const std::string& rel = f.rel_path;
-    if (rel.rfind("src/spec/", 0) == 0 && rel.size() > 3 &&
-        rel.compare(rel.size() - 3, 3, ".cc") == 0) {
-      RuleErrorPath(f, &findings);
-    }
-  }
   std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.rule, a.message) <
            std::tie(b.file, b.line, b.rule, b.message);

@@ -6,7 +6,8 @@
 // spec/impl drift a compile error. Totality over SysOp is not among them:
 // every per-op column is generated from one table (ATMO_SYSOPS in
 // src/core/syscall.h), and -Werror=switch/-Werror=switch-enum make the two
-// hand-written dispatchers fail to compile when they miss an op.
+// hand-written dispatchers fail to compile when they miss an op. Nor is
+// failure atomicity: SyscallSpec checks it once, before any per-op spec.
 // Per-function rules (DESIGN.md §11):
 //
 //   dirty-log            every public mutating method of the logged
@@ -14,8 +15,6 @@
 //                        via a callee that does (call-graph transitive)
 //   lockstep-index       every hashed index member has a Wf cross-check
 //                        clause and a CloneForVerification rebuild
-//   error-path           spec predicates taking the syscall return value
-//                        establish failure atomicity before any Fail(...)
 //
 // Interprocedural rules over the project call graph (DESIGN.md §16):
 //

@@ -65,9 +65,6 @@ const std::vector<Subsystem>& Subsystems();
 // Per-tree rules loading their own inputs.
 void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings);
 
-// Per-file rules (driver iterates the tree).
-void RuleErrorPath(const SourceFile& f, std::vector<Finding>* findings);
-
 // Call-graph rules.
 void RuleDirtyLog(const Options& options, const Project& project,
                   std::vector<Finding>* findings);
