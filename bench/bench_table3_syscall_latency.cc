@@ -30,6 +30,11 @@
 //                sizes.
 //   alloc_free_1g — informational hit path: alloc+free of a 1G unit with a
 //                fully free region available (steady state O(1) both ways).
+//   ring_drain_atomic — informational: one kRingEnter draining 4 mmap and 4
+//                munmap calls of 4K pages, all successful, on a
+//                kRingDrainAtomic ring. ExecBatch snapshots the whole kernel
+//                before such a batch (a plain CloneForVerification), so this
+//                row carries that O(frames) curve (ROADMAP item 7).
 //
 // Two modelling notes (see EXPERIMENTS.md):
 //   1. A user-level syscall pays a hardware mode switch that dominates real
@@ -476,6 +481,69 @@ double AllocFree1GHit(std::uint64_t frames) {
   return MedianPerOp(samples, 5, timed, [] {});
 }
 
+// --- Atmosphere: one 8-entry drain of a kRingDrainAtomic ring ---
+//
+// Submission and reaping run untimed; every drained entry must succeed, so
+// the snapshot is dropped, never restored.
+double AtmoRingDrainAtomic(std::uint64_t frames) {
+  BootConfig config;
+  config.frames = frames;
+  config.reserved_frames = 16;
+  Kernel kernel = std::move(*Kernel::Boot(config));
+  auto ctnr = kernel.BootCreateContainer(kernel.root_container(), frames / 2, ~0ull);
+  auto proc = kernel.BootCreateProcess(ctnr.value);
+  ThrdPtr thrd = kernel.BootCreateThread(proc.value).value;
+
+  constexpr int kPages = 4;
+  Syscall setup;
+  setup.op = SysOp::kRingSetup;
+  setup.ring_entries = 2 * kPages;
+  setup.ring_flags = kRingDrainAtomic;
+  Syscall enter;
+  enter.op = SysOp::kRingEnter;
+  enter.ring_id = kernel.Step(thrd, setup).value;
+
+  auto submit = [&] {
+    Syscall sub;
+    sub.op = SysOp::kRingSubmit;
+    sub.ring_id = enter.ring_id;
+    sub.map_perm = MapEntryPerm{.writable = true, .user = true, .no_execute = false};
+    for (SysOp op : {SysOp::kMmap, SysOp::kMunmap}) {
+      sub.ring_op = op;
+      for (int i = 0; i < kPages; ++i) {
+        sub.va_range = VaRange{0x400000 + i * kPageSize4K, 1, PageSize::k4K};
+        if (!kernel.RingPushDirect(thrd, sub).ok()) {
+          std::fprintf(stderr, "ring_drain_atomic: submission failed\n");
+          std::exit(1);
+        }
+      }
+    }
+  };
+  auto reap = [&] {
+    RingCqEntry cqes[2 * kPages];
+    std::size_t n = kernel.RingReap(thrd, enter.ring_id, cqes, std::size(cqes));
+    if (n != std::size(cqes) ||
+        !std::all_of(cqes, cqes + n, [](const RingCqEntry& e) { return e.ret.ok(); })) {
+      std::fprintf(stderr, "ring_drain_atomic: a drained entry failed\n");
+      std::exit(1);
+    }
+    submit();
+  };
+  auto timed = [&] {
+    ModeSwitch();
+    kernel.Step(thrd, enter);
+  };
+
+  submit();
+  int warmup = static_cast<int>(bench::ScaledOps(40));
+  for (int i = 0; i < warmup; ++i) {
+    timed();
+    reap();
+  }
+  int samples = static_cast<int>(bench::ScaledOps(200));
+  return MedianPerOp(samples, 5, timed, reap);
+}
+
 struct OpResult {
   std::string op;
   std::vector<std::uint64_t> frames;
@@ -546,6 +614,13 @@ int main() {
   hit.frames.push_back(k1GSizes[0]);
   hit.medians.push_back(AllocFree1GHit(k1GSizes[0]));
   ops.push_back(std::move(hit));
+
+  OpResult drain{.op = "ring_drain_atomic", .flat_required = false};
+  for (std::uint64_t frames : kKernelSizes) {
+    drain.frames.push_back(frames);
+    drain.medians.push_back(AtmoRingDrainAtomic(frames));
+  }
+  ops.push_back(std::move(drain));
 
   OpResult sel4_ipc{.op = "sel4_call_reply", .flat_required = false};
   sel4_ipc.frames.push_back(kKernelSizes[0]);

@@ -1066,18 +1066,9 @@ SyscallRet Kernel::ExecBatch(ThrdPtr t, const Syscall& call)
   // relative to the last drain. (Callers maintaining external delta
   // snapshots without the checker must treat a kWouldFault drain as a full
   // rebuild point — see DESIGN.md §13.)
-  // The snapshot refills the pooled clone shell instead of rebuilding from
-  // the heap. Detached from the member first: the rollback below move-
-  // assigns the snapshot over *this, and a still-attached pool would be
-  // destroyed mid-move by its own transplant.
-  std::unique_ptr<Kernel> pool;
+  std::optional<Kernel> snapshot;
   if (atomic && n > 0) {
-    pool = std::move(snapshot_pool_);
-    if (pool == nullptr) {
-      // averif-lint: allow(hot-path-alloc) — pool seeding: runs only when the snapshot pool is empty (first atomic batch); steady state reuses the pooled clone shell
-      pool = std::unique_ptr<Kernel>(new Kernel());
-    }
-    CloneForVerificationInto(pool.get());
+    snapshot = CloneForVerification();
   }
   for (std::uint64_t i = 0; i < n; ++i) {
     RingSqEntry entry;
@@ -1086,17 +1077,11 @@ SyscallRet Kernel::ExecBatch(ThrdPtr t, const Syscall& call)
     SyscallRet ret = Exec(t, entry.call);
     ATMO_CHECK(ret.error != SysError::kBlocked, "submittable op blocked inside a batch");
     if (atomic && !ret.ok()) {
-      *this = std::move(*pool);
-      // Keep the (now moved-from) shell for the next refill; the transplant
-      // nulled this->snapshot_pool_ along with the rest of the members.
-      snapshot_pool_ = std::move(pool);
+      *this = std::move(*snapshot);
       return Err(SysError::kWouldFault);
     }
     bool completed = rings_.CqPush(call.ring_id, RingCqEntry{entry.user_data, ret});
     ATMO_CHECK(completed, "ring CQ filled up inside a sized batch");
-  }
-  if (pool != nullptr) {
-    snapshot_pool_ = std::move(pool);
   }
   return Ok(n);
 }
@@ -1587,26 +1572,26 @@ InvResult Kernel::TotalWf() const {
       return InvResult::Fail("MMU cross-check: " + cross.detail);
     }
   }
+  // And for every IOMMU domain: a device DMAs through exactly its mappings.
+  for (const auto& [id, table] : iommu_.domains()) {
+    RefinementReport flat = FlatRefinementCheck(table, *mem_);
+    if (!flat.ok) {
+      return InvResult::Fail("IOMMU page-table refinement: " + flat.detail);
+    }
+  }
   return memory.Verdict();
 }
 
 Kernel Kernel::CloneForVerification() const {
   Kernel out;
-  CloneForVerificationInto(&out);
+  out.mem_ = std::make_unique<PhysMem>(mem_->CloneForVerification());
+  out.mmu_ = Mmu(out.mem_.get());
+  out.alloc_ = alloc_.CloneForVerification();
+  out.pm_ = pm_.CloneForVerification();
+  out.vm_ = vm_.CloneForVerification(out.mem_.get());
+  out.iommu_ = iommu_.CloneForVerification(out.mem_.get());
+  out.rings_ = rings_.CloneForVerification();
   return out;
-}
-
-void Kernel::CloneForVerificationInto(Kernel* out) const {
-  if (out->mem_ == nullptr) {
-    out->mem_ = std::make_unique<PhysMem>(mem_->frame_count());
-  }
-  mem_->CloneForVerificationInto(out->mem_.get());
-  out->mmu_ = Mmu(out->mem_.get());
-  alloc_.CloneForVerificationInto(&out->alloc_);
-  pm_.CloneForVerificationInto(&out->pm_);
-  vm_.CloneForVerificationInto(&out->vm_, out->mem_.get());
-  iommu_.CloneForVerificationInto(&out->iommu_, out->mem_.get());
-  rings_.CloneForVerificationInto(&out->rings_);
 }
 
 }  // namespace atmo

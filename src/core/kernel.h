@@ -99,6 +99,7 @@ class Kernel {
   ProcessManager& pm_mut() { return pm_; }
   PageAllocator& alloc_mut() { return alloc_; }
   VmManager& vm_mut() { return vm_; }
+  SyscallRingTable& rings_mut() { return rings_; }
 
   // --- Verification surface ---
   // Abstraction function: concrete state -> Ψ.
@@ -126,13 +127,10 @@ class Kernel {
   // mapped frames are exactly the VM subsystem's held frames.
   InvResult MemorySafetyWf() const;
 
+  // Deep copy of the whole kernel, memory image included, with empty dirty
+  // logs: the kRingDrainAtomic snapshot (ExecBatch), the noninterference
+  // harness and tests.
   Kernel CloneForVerification() const;
-  // Pooled clone: overwrite `out` (a previous clone or default shell) in
-  // place, reusing its PhysMem frame blocks, map nodes, and index buckets.
-  // Abstract-state identical to CloneForVerification (differential-tested);
-  // steady-state refills perform no heap allocations. `out`'s own snapshot
-  // pool, if any, is left untouched.
-  void CloneForVerificationInto(Kernel* out) const;
 
  private:
   Kernel() = default;
@@ -203,12 +201,6 @@ class Kernel {
   VmManager vm_{nullptr};
   IommuManager iommu_{nullptr};
   SyscallRingTable rings_;
-  // Preallocated clone destination for ExecBatch's atomic-drain snapshots:
-  // instead of rebuilding a full kernel image from the heap on every atomic
-  // batch, the snapshot is refilled in place (CloneForVerificationInto).
-  // Detached before use so the rollback `*this = std::move(*pool)` cannot
-  // destroy the object being moved from (see ExecBatch).
-  std::unique_ptr<Kernel> snapshot_pool_;
 };
 
 }  // namespace atmo

@@ -26,7 +26,7 @@ namespace atmo {
 
 // The syscall table: one row per operation, in enumerator order.
 //
-//   X(op, "name", ring_submittable, returns_object, (frame profile))
+//   X(op, "name", ring_submittable, returns_object, may_block, (frame profile))
 //
 //   op                the SysOp enumerator.
 //   "name"            SysOpName (spec-failure messages, bench keys); the
@@ -43,6 +43,9 @@ namespace atmo {
 //                     model excludes by construction (cf. Hyperkernel's
 //                     caller-chosen handles). The noninterference harness
 //                     compares such values as "created vs not created" only.
+//   may_block         the op may return kBlocked, parking the caller on an
+//                     endpoint: only kSend, kRecv and kCall. SyscallSpec
+//                     rejects kBlocked from every other op.
 //   frame profile     designated initializers of the FrameProfile naming the
 //                     components of Ψ the op may change on any outcome;
 //                     expanded only in src/spec/frame_profile.h, which holds
@@ -52,71 +55,71 @@ namespace atmo {
 // SyscallSpec; -Werror=switch and -Werror=switch-enum make a missing arm a
 // compile error.
 #define ATMO_SYSOPS(X)                                                                     \
-  X(kYield, "yield", false, false, (.threads = true, .scheduler = true))                   \
+  X(kYield, "yield", false, false, false, (.threads = true, .scheduler = true))            \
   /* map fresh pages into the caller's address space */                                   \
-  X(kMmap, "mmap", true, false,                                                            \
+  X(kMmap, "mmap", true, false, false,                                                     \
     (.containers = true, .address_spaces = true, .pages = true, .free_sets = true))        \
   /* remove mappings from the caller's address space */                                   \
-  X(kMunmap, "munmap", true, false,                                                        \
+  X(kMunmap, "munmap", true, false, false,                                                 \
     (.containers = true, .address_spaces = true, .pages = true, .free_sets = true))        \
   /* child container of the caller's container */                                         \
-  X(kNewContainer, "new_container", true, true,                                            \
+  X(kNewContainer, "new_container", true, true, false,                                     \
     (.containers = true, .pages = true, .free_sets = true))                                \
   /* child process of the caller's process */                                             \
-  X(kNewProcess, "new_process", true, true,                                                \
+  X(kNewProcess, "new_process", true, true, false,                                         \
     (.containers = true, .procs = true, .address_spaces = true, .pages = true,             \
      .free_sets = true))                                                                   \
   /* thread in the caller's (or a same-container) process */                              \
-  X(kNewThread, "new_thread", true, true,                                                  \
+  X(kNewThread, "new_thread", true, true, false,                                           \
     (.threads = true, .containers = true, .procs = true, .pages = true,                    \
      .free_sets = true, .scheduler = true))                                                \
   /* endpoint bound to a caller descriptor slot */                                        \
-  X(kNewEndpoint, "new_endpoint", true, true,                                              \
+  X(kNewEndpoint, "new_endpoint", true, true, false,                                       \
     (.threads = true, .containers = true, .endpoints = true, .pages = true,                \
      .free_sets = true))                                                                   \
   /* drop a caller descriptor (frees the endpoint at zero) */                             \
-  X(kUnbindEndpoint, "unbind_endpoint", true, false,                                       \
+  X(kUnbindEndpoint, "unbind_endpoint", true, false, false,                                \
     (.threads = true, .containers = true, .endpoints = true, .pages = true,                \
      .free_sets = true))                                                                   \
   /* Rendezvous IPC: send (blocks if no receiver), receive (blocks if no                  \
      sender), send then block for the reply, reply to the thread that called us. */       \
-  X(kSend, "send", false, false, ATMO_FRAME_IPC)                                           \
-  X(kRecv, "recv", false, false, ATMO_FRAME_IPC)                                           \
-  X(kCall, "call", false, false, ATMO_FRAME_IPC)                                           \
-  X(kReply, "reply", false, false, ATMO_FRAME_IPC)                                         \
+  X(kSend, "send", false, false, true, ATMO_FRAME_IPC)                                     \
+  X(kRecv, "recv", false, false, true, ATMO_FRAME_IPC)                                     \
+  X(kCall, "call", false, false, true, ATMO_FRAME_IPC)                                     \
+  X(kReply, "reply", false, false, false, ATMO_FRAME_IPC)                                  \
   /* terminate the calling thread */                                                      \
-  X(kExit, "exit", false, false,                                                           \
+  X(kExit, "exit", false, false, false,                                                    \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .pages = true, .free_sets = true, .scheduler = true))                                 \
   /* terminate a descendant process subtree */                                            \
-  X(kKillProcess, "kill_process", false, false,                                            \
+  X(kKillProcess, "kill_process", false, false, false,                                     \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .address_spaces = true, .pages = true, .free_sets = true, .scheduler = true))         \
   /* terminate a descendant container subtree, harvest */                                 \
-  X(kKillContainer, "kill_container", false, false,                                        \
+  X(kKillContainer, "kill_container", false, false, false,                                 \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,              \
      .scheduler = true))                                                                   \
-  X(kIommuCreateDomain, "iommu_create_domain", true, true,                                 \
+  X(kIommuCreateDomain, "iommu_create_domain", true, true, false,                          \
     (.containers = true, .pages = true, .free_sets = true, .iommu = true))                 \
-  X(kIommuAttachDevice, "iommu_attach_device", true, false, (.iommu = true))               \
-  X(kIommuDetachDevice, "iommu_detach_device", true, false, (.iommu = true))               \
-  X(kIommuMapDma, "iommu_map_dma", true, false,                                            \
+  X(kIommuAttachDevice, "iommu_attach_device", true, false, false, (.iommu = true))        \
+  X(kIommuDetachDevice, "iommu_detach_device", true, false, false, (.iommu = true))        \
+  X(kIommuMapDma, "iommu_map_dma", true, false, false,                                     \
     (.containers = true, .pages = true, .free_sets = true, .iommu = true))                 \
-  X(kIommuUnmapDma, "iommu_unmap_dma", true, false,                                        \
+  X(kIommuUnmapDma, "iommu_unmap_dma", true, false, false,                                 \
     (.containers = true, .pages = true, .free_sets = true, .iommu = true))                 \
   /* Create a submission/completion ring owned by the caller. The fresh ring             \
      id is global-counter shaped, so it counts as an object pointer. */                   \
-  X(kRingSetup, "ring_setup", false, true, (.rings = true))                                \
+  X(kRingSetup, "ring_setup", false, true, false, (.rings = true))                         \
   /* enqueue one deferred syscall onto a ring's SQ */                                     \
-  X(kRingSubmit, "ring_submit", false, false, (.rings = true))                             \
+  X(kRingSubmit, "ring_submit", false, false, false, (.rings = true))                      \
   /* Drain the SQ: execute entries back-to-back, fill the CQ. One checked                 \
      transition covers a whole drained batch, so the profile is the union of             \
      every submittable op's profile (everything but the scheduler-only bits              \
      kNewThread already brings in) plus the ring itself. This width is the               \
      amortization tradeoff: per-entry tightness is recovered by the                      \
      differential oracle (tests/ring_batch_differential_test.cc). */                      \
-  X(kRingEnter, "ring_enter", false, false,                                                \
+  X(kRingEnter, "ring_enter", false, false, false,                                         \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,              \
      .rings = true, .scheduler = true))                                                    \
@@ -124,7 +127,8 @@ namespace atmo {
      lender rights restore, i.e. two address spaces and the page's borrow                 \
      relabeling. The lender still maps the frame, so the return can never                \
      release it — no container charge or free-set edge. */                               \
-  X(kGrantReturn, "grant_return", true, false, (.address_spaces = true, .pages = true))    \
+  X(kGrantReturn, "grant_return", true, false, false,                                      \
+    (.address_spaces = true, .pages = true))                                               \
   /* Snapshot the caller's obs counters into a writable page (va_range.base =             \
      destination VA, must be a mapping base). Not submittable: a deferred                 \
      query would report counters as of an unpredictable drain point, which                \
@@ -132,7 +136,7 @@ namespace atmo {
      state. Returns sizeof(ObsQueryRecord), a constant. Its profile is the                \
      tightest in the table: the snapshot lands in page byte contents, which Ψ             \
      does not model, so at abstract level the syscall touches nothing at all. */         \
-  X(kObsQuery, "obs_query", false, false, ())
+  X(kObsQuery, "obs_query", false, false, false, ())
 
 enum class SysOp : std::uint8_t {
 #define ATMO_SYSOP_ENUMERATOR(op, ...) op,
@@ -141,17 +145,18 @@ enum class SysOp : std::uint8_t {
 };
 
 // The table's data columns; FrameProfileFor (src/spec/frame_profile.h) is the
-// fifth. Indexed by the enumerator value.
+// sixth. Indexed by the enumerator value.
 struct SysOpRow {
   const char* name;
   const char* trace_label;
   bool ring_submittable;
   bool returns_object;
+  bool may_block;
 };
 
 inline constexpr SysOpRow kSysOpRows[] = {
-#define ATMO_SYSOP_ROW(op, name, ring_submittable, returns_object, frame) \
-  {name, "sys." name, ring_submittable, returns_object},
+#define ATMO_SYSOP_ROW(op, name, ring_submittable, returns_object, may_block, frame) \
+  {name, "sys." name, ring_submittable, returns_object, may_block},
     ATMO_SYSOPS(ATMO_SYSOP_ROW)
 #undef ATMO_SYSOP_ROW
 };
@@ -160,7 +165,7 @@ inline constexpr std::size_t kSysOpCount = std::size(kSysOpRows);
 
 // The answers for a value outside the enumeration: the op arrives in a
 // register, so a hostile caller can name any byte.
-inline constexpr SysOpRow kUnknownSysOpRow = {"?", "sys.unknown", false, false};
+inline constexpr SysOpRow kUnknownSysOpRow = {"?", "sys.unknown", false, false, false};
 
 constexpr const SysOpRow& SysOpRowOf(SysOp op) {
   auto index = static_cast<std::size_t>(op);
@@ -177,6 +182,8 @@ constexpr const char* SysOpTraceLabel(SysOp op) { return SysOpRowOf(op).trace_la
 constexpr bool RingSubmittable(SysOp op) { return SysOpRowOf(op).ring_submittable; }
 
 constexpr bool ReturnsObjectPointer(SysOp op) { return SysOpRowOf(op).returns_object; }
+
+constexpr bool MayBlock(SysOp op) { return SysOpRowOf(op).may_block; }
 
 // Record layout kObsQuery writes at the destination VA. Plain u64 words so
 // user code (and the differential test) can read it back with HwReadBytes

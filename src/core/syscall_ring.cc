@@ -103,16 +103,9 @@ bool SyscallRingTable::Wf() const {
 
 SyscallRingTable SyscallRingTable::CloneForVerification() const {
   SyscallRingTable out;
-  CloneForVerificationInto(&out);
-  return out;
-}
-
-void SyscallRingTable::CloneForVerificationInto(SyscallRingTable* out) const {
-  // Map copy-assign reuses the destination's nodes (libstdc++
-  // _Reuse_or_alloc_node) and each SyscallRing's queue capacity.
-  out->rings_ = rings_;
-  out->next_id_ = next_id_;
-  out->dirty_.Reset();  // clones start with an empty mutation log
+  out.rings_ = rings_;
+  out.next_id_ = next_id_;
+  return out;  // with an empty mutation log
 }
 
 }  // namespace atmo

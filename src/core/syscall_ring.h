@@ -190,11 +190,10 @@ class SyscallRingTable {
 
   // Deep copy with a fresh (empty) dirty log, like every subsystem clone.
   SyscallRingTable CloneForVerification() const;
-  // Pooled clone: overwrite `out` in place, reusing its ring map nodes and
-  // queue storage (DESIGN.md §14).
-  void CloneForVerificationInto(SyscallRingTable* out) const;
 
  private:
+  friend struct SyscallRingTableTestPeer;
+
   SyscallRing* GetMutAndMark(std::uint64_t id);
 
   std::map<std::uint64_t, SyscallRing> rings_;

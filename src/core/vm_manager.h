@@ -140,9 +140,9 @@ class VmManager {
   // frames are tracked by the page allocator's own dirty log.
   void DrainDirtyInto(std::vector<ProcPtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
-  // Pooled clone: overwrite `out` in place, reusing its table map nodes
-  // and per-table storage (DESIGN.md §14).
-  void CloneForVerificationInto(VmManager* out, PhysMem* mem) const;
+  // Deep copy over `mem`, a clone of this manager's PhysMem that already
+  // holds every table's node frames; the copy has an empty mutation log.
+  VmManager CloneForVerification(PhysMem* mem) const;
 
  private:
   friend struct VmManagerTestPeer;

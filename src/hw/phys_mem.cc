@@ -64,28 +64,12 @@ void PhysMem::ZeroPage(const FramePerm& perm) {
 
 PhysMem PhysMem::CloneForVerification() const {
   PhysMem out(frame_count_);
-  CloneForVerificationInto(&out);
-  return out;
-}
-
-void PhysMem::CloneForVerificationInto(PhysMem* out) const {
-  out->frame_count_ = frame_count_;
-  // averif-lint: allow(hot-path-alloc) — resize is a no-op once the pooled clone reached live size; grows only with new frames
-  out->frames_.resize(frame_count_);
   for (std::uint64_t frame = 0; frame < frame_count_; ++frame) {
     if (frames_[frame]) {
-      if (out->frames_[frame]) {
-        *out->frames_[frame] = *frames_[frame];
-      } else {
-        out->frames_[frame] = std::make_unique<FrameData>(*frames_[frame]);
-      }
-    } else if (out->frames_[frame]) {
-      // Source frame untouched (reads as zero): zero the reusable block
-      // rather than freeing it. A zeroed block and no block are
-      // indistinguishable through every accessor.
-      out->frames_[frame]->fill(0);
+      out.frames_[frame] = std::make_unique<FrameData>(*frames_[frame]);
     }
   }
+  return out;
 }
 
 std::uint64_t PhysMem::HwReadU64(PAddr addr) const {

@@ -94,13 +94,9 @@ class PhysMem {
   // Zeroes the whole page covered by `perm` (fresh allocation scrub).
   void ZeroPage(const FramePerm& perm);
 
-  // Deep copy of the whole memory image (verification harness only).
+  // Deep copy of the whole memory image (verification harness only);
+  // untouched frames stay untouched in the copy.
   PhysMem CloneForVerification() const;
-  // Pooled variant: deep-copies this image into `out`, reusing `out`'s
-  // already-allocated frame blocks. Where this image has no backing block
-  // (untouched frame, reads as zero) a reusable block in `out` is zeroed
-  // instead of freed — observationally identical, allocation-free.
-  void CloneForVerificationInto(PhysMem* out) const;
   // Direct span of one frame's backing store, touching it into existence —
   // the zero-copy borrow point for DMA-visible memory (DESIGN.md §14).
   // Hardware-side like HwRead/HwWrite (no software permission); the pointer

@@ -99,9 +99,9 @@ class IommuManager {
   MapError CanMapDma(IommuDomainId domain, VAddr iova, PageSize size) const;
   std::uint64_t FreshNodesForDma(IommuDomainId domain, VAddr iova, PageSize size) const;
 
-  // Pooled clone: overwrite `out` in place, reusing its domain map nodes
-  // and per-table storage (DESIGN.md §14).
-  void CloneForVerificationInto(IommuManager* out, PhysMem* mem) const;
+  // Deep copy over `mem`, a clone of this manager's PhysMem that already
+  // holds every domain's table frames; the copy has an empty mutation log.
+  IommuManager CloneForVerification(PhysMem* mem) const;
 
  private:
   // Domain lookup used by every DMA syscall; nullptr when absent.

@@ -340,32 +340,16 @@ void PageTable::Destroy(PageAllocator* alloc) {
   cr3_ = kNullPtr;
 }
 
-void PageTable::CloneForVerificationInto(PageTable* out, PhysMem* mem) const {
-  out->mem_ = mem;
-  out->cr3_ = cr3_;
-  out->owner_ = owner_;
-  // Sorted merge walk over the node-permission map: overwrite common
-  // entries in place (FramePerm move-assign into the reused node), erase
-  // stale ones, insert missing ones with a hint. Steady-state reuse
-  // performs no node allocations.
-  auto dit = out->node_perms_.begin();
+PageTable PageTable::CloneForVerification(PhysMem* mem) const {
+  PageTable out(mem, cr3_, owner_);
   for (const auto& [addr, perm] : node_perms_) {
-    while (dit != out->node_perms_.end() && dit->first < addr) {
-      dit = out->node_perms_.erase(dit);
-    }
-    if (dit != out->node_perms_.end() && dit->first == addr) {
-      dit->second = perm.CloneForVerification();
-      ++dit;
-    } else {
-      // averif-lint: allow(hot-path-alloc) — emplace_hint refills recycled page-table nodes; allocation only on growth past the pooled high-water mark
-      out->node_perms_.emplace_hint(dit, addr, perm.CloneForVerification());
-    }
+    // averif-lint: allow(hot-path-alloc) — reached from ExecBatch only by the kRingDrainAtomic snapshot, an O(state) copy by design that only atomic rings take (TraceGen and tests)
+    out.node_perms_.emplace_hint(out.node_perms_.end(), addr, perm.CloneForVerification());
   }
-  out->node_perms_.erase(dit, out->node_perms_.end());
   // Persistent spec maps: O(1) root shares.
-  out->node_info_ = node_info_;
-  out->mappings_ = mappings_;
-  out->write_observer_ = nullptr;
+  out.node_info_ = node_info_;
+  out.mappings_ = mappings_;
+  return out;
 }
 
 }  // namespace atmo

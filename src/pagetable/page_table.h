@@ -164,19 +164,17 @@ class PageTable {
   // 8-byte store to a node frame.
   void SetWriteObserver(std::function<void()> observer) { write_observer_ = std::move(observer); }
 
-  // Pooled clone: overwrite `out` (a previously cloned or default-shell
-  // table) in place, reusing its node-permission map nodes. `mem` must
-  // already hold this table's node frames (the caller clones PhysMem
-  // first), so no frame bytes move here.
-  void CloneForVerificationInto(PageTable* out, PhysMem* mem) const;
-  // Shell for pooled-clone pools: no root, no permissions; only usable as
-  // a CloneForVerificationInto destination.
-  PageTable() : mem_(nullptr), cr3_(kNullPtr), owner_(kNullPtr) {}
+  // Deep copy over `mem`, which must already hold this table's node frames
+  // (the caller clones PhysMem first), so no frame bytes move here. The
+  // copy has no write observer.
+  PageTable CloneForVerification(PhysMem* mem) const;
 
  private:
   friend struct PageTableTestPeer;
 
   PageTable(PhysMem* mem, PAddr cr3, FramePerm root_perm, CtnrPtr owner);
+  // A table with no nodes yet, for CloneForVerification to fill.
+  PageTable(PhysMem* mem, PAddr cr3, CtnrPtr owner) : mem_(mem), cr3_(cr3), owner_(owner) {}
 
   std::uint64_t ReadEntry(PAddr node, std::uint64_t index) const;
   void WriteEntry(PAddr node, std::uint64_t index, std::uint64_t pte);

@@ -784,26 +784,19 @@ bool PageAllocator::WfReference() const {
 }
 
 PageAllocator PageAllocator::CloneForVerification() const {
-  PageAllocator out(1, 1);  // minimal shell, immediately overwritten
-  CloneForVerificationInto(&out);
-  return out;
-}
-
-void PageAllocator::CloneForVerificationInto(PageAllocator* out) const {
-  out->reserved_frames_ = reserved_frames_;
-  // Vector copy-assign reuses the destination's capacity: after the first
-  // fill a pooled clone performs zero allocations here.
-  out->meta_ = meta_;
-  out->free_4k_ = free_4k_;
-  out->free_2m_ = free_2m_;
-  out->free_1g_ = free_1g_;
-  out->free_in_2m_ = free_in_2m_;
-  out->free_eq_1g_ = free_eq_1g_;
-  out->in_mergeable_2m_ = in_mergeable_2m_;
-  out->in_mergeable_1g_ = in_mergeable_1g_;
-  out->mergeable_2m_ = mergeable_2m_;
-  out->mergeable_1g_ = mergeable_1g_;
-  out->dirty_.Reset();  // clones start with an empty mutation log
+  PageAllocator out(1, 1);  // minimal shell, overwritten member by member
+  out.reserved_frames_ = reserved_frames_;
+  out.meta_ = meta_;
+  out.free_4k_ = free_4k_;
+  out.free_2m_ = free_2m_;
+  out.free_1g_ = free_1g_;
+  out.free_in_2m_ = free_in_2m_;
+  out.free_eq_1g_ = free_eq_1g_;
+  out.in_mergeable_2m_ = in_mergeable_2m_;
+  out.in_mergeable_1g_ = in_mergeable_1g_;
+  out.mergeable_2m_ = mergeable_2m_;
+  out.mergeable_1g_ = mergeable_1g_;
+  return out;  // with an empty mutation log
 }
 
 }  // namespace atmo

@@ -176,11 +176,8 @@ class PageAllocator {
   // class, owner or map count) may have changed since the last drain.
   void DrainDirtyInto(std::vector<PagePtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
-  // Deep copy for the verification harness.
+  // Deep copy for the verification harness, with an empty mutation log.
   PageAllocator CloneForVerification() const;
-  // Pooled clone: overwrite `out` in place, reusing its vector/heap
-  // capacity (allocation-free at steady state; DESIGN.md §14).
-  void CloneForVerificationInto(PageAllocator* out) const;
 
  private:
   friend struct PageAllocatorTestPeer;

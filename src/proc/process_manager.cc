@@ -551,20 +551,15 @@ void ProcessManager::DrainDirty(DirtySet* out) {
 
 ProcessManager ProcessManager::CloneForVerification() const {
   ProcessManager out;
-  CloneForVerificationInto(&out);
-  return out;
-}
-
-void ProcessManager::CloneForVerificationInto(ProcessManager* out) const {
-  out->root_container_ = root_container_;
-  out->initial_quota_ = initial_quota_;
-  cntr_perms_.CloneForVerificationInto(&out->cntr_perms_);
-  proc_perms_.CloneForVerificationInto(&out->proc_perms_);
-  thrd_perms_.CloneForVerificationInto(&out->thrd_perms_);
-  edpt_perms_.CloneForVerificationInto(&out->edpt_perms_);
-  out->run_queue_ = run_queue_;
-  out->current_ = current_;
-  out->sched_dirty_ = false;  // clones start with a clean scheduler mark
+  out.root_container_ = root_container_;
+  out.initial_quota_ = initial_quota_;
+  out.cntr_perms_ = cntr_perms_.CloneForVerification();
+  out.proc_perms_ = proc_perms_.CloneForVerification();
+  out.thrd_perms_ = thrd_perms_.CloneForVerification();
+  out.edpt_perms_ = edpt_perms_.CloneForVerification();
+  out.run_queue_ = run_queue_;
+  out.current_ = current_;
+  return out;  // with empty mutation logs and a clean scheduler mark
 }
 
 }  // namespace atmo

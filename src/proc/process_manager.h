@@ -160,10 +160,8 @@ class ProcessManager {
   // into `out` for incremental abstraction.
   void DrainDirty(DirtySet* out);
 
+  // Deep copy for the verification harness, with empty mutation logs.
   ProcessManager CloneForVerification() const;
-  // Pooled clone: overwrite `out` in place, reusing its permission-map
-  // nodes and queue storage (DESIGN.md §14).
-  void CloneForVerificationInto(ProcessManager* out) const;
 
   // Creates an empty manager; only Boot() produces a usable one. Public so
   // aggregates (Kernel) can default-construct before boot.

@@ -55,7 +55,7 @@ struct FrameProfile {
 //     re-attributed or freed.
 #define ATMO_UNPAREN(...) __VA_ARGS__
 inline constexpr FrameProfile kFrameProfiles[] = {
-#define ATMO_FRAME_PROFILE_ROW(op, name, ring_submittable, returns_object, frame) \
+#define ATMO_FRAME_PROFILE_ROW(op, name, ring_submittable, returns_object, may_block, frame) \
   FrameProfile{ATMO_UNPAREN frame},
     ATMO_SYSOPS(ATMO_FRAME_PROFILE_ROW)
 #undef ATMO_FRAME_PROFILE_ROW

@@ -265,9 +265,6 @@ SpecResult YieldSpec(const AbstractKernel& pre, const AbstractKernel& post, Thrd
 
 SpecResult MmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                     const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("mmap never blocks");
-  }
   const VaRange& range = call.va_range;
   if (ret.value != range.count) {
     return Fail("mmap return value is not the mapped count");
@@ -358,10 +355,7 @@ SpecResult MmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
 }
 
 SpecResult MunmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                      const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("munmap never blocks");
-  }
+                      const Syscall& call) {
   const VaRange& range = call.va_range;
   const AbsThread& thread = pre.get_thread(t);
 
@@ -624,10 +618,7 @@ SpecResult NewEndpointSpec(const AbstractKernel& pre, const AbstractKernel& post
 }
 
 SpecResult UnbindEndpointSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                              const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("unbind_endpoint never blocks");
-  }
+                              const Syscall& call) {
   const AbsThread& thread = pre.get_thread(t);
   EdptPtr edpt = thread.endpoints[call.edpt_idx];
   if (edpt == kNullPtr) {
@@ -818,10 +809,7 @@ SpecResult CallSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdP
 }
 
 SpecResult ReplySpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                     const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("reply never blocks");
-  }
+                     const Syscall& call) {
   ThrdPtr caller = pre.get_thread(t).reply_to;
   std::optional<IpcPayload> resolved = ResolvePayloadSpec(pre, t, call.payload);
   if (!resolved.has_value()) {
@@ -844,10 +832,7 @@ SpecResult ReplySpec(const AbstractKernel& pre, const AbstractKernel& post, Thrd
 // spaces, pages) keeps every container, free-set, endpoint, IOMMU and
 // scheduler component unchanged.
 SpecResult GrantReturnSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                           const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("grant return never blocks");
-  }
+                           const Syscall& call) {
   ProcPtr proc = pre.get_thread(t).proc;
   VAddr va = call.va_range.base;
   const SpecMap<VAddr, MapEntry>& pre_bspace = pre.get_address_space(proc);
@@ -917,9 +902,6 @@ SpecResult GrantReturnSpec(const AbstractKernel& pre, const AbstractKernel& post
 // based at the destination VA in the *pre* state.
 SpecResult ObsQuerySpec(const AbstractKernel& pre, ThrdPtr t, const Syscall& call,
                         const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("obs query never blocks");
-  }
   ProcPtr proc = pre.get_thread(t).proc;
   VAddr va = call.va_range.base;
   const SpecMap<VAddr, MapEntry>& space = pre.get_address_space(proc);
@@ -1203,9 +1185,6 @@ SpecResult KillContainerSpec(const AbstractKernel& pre, const AbstractKernel& po
 
 SpecResult IommuCreateDomainSpec(const AbstractKernel& pre, const AbstractKernel& post,
                                  ThrdPtr t, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("IOMMU operations never block");
-  }
   const AbsThread& thread = pre.get_thread(t);
   std::uint64_t domain = ret.value;
   if (pre.iommu_domains.contains(domain) || !post.iommu_domains.contains(domain)) {
@@ -1227,10 +1206,7 @@ SpecResult IommuCreateDomainSpec(const AbstractKernel& pre, const AbstractKernel
 }
 
 SpecResult IommuDeviceSpec(const AbstractKernel& pre, const AbstractKernel& post,
-                           const Syscall& call, const SyscallRet& ret, bool attach) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("IOMMU operations never block");
-  }
+                           const Syscall& call, bool attach) {
   // Exactly one domain's device set changed by the one device.
   std::uint64_t domain = attach ? call.iommu_domain
                                 : [&] {
@@ -1257,10 +1233,7 @@ SpecResult IommuDeviceSpec(const AbstractKernel& pre, const AbstractKernel& post
 }
 
 SpecResult IommuMapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
-                           const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("IOMMU operations never block");
-  }
+                           const Syscall& call) {
   std::uint64_t domain = call.iommu_domain;
   const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
   const AbsIommuDomain& post_d = post.iommu_domains.at(domain);
@@ -1279,10 +1252,7 @@ SpecResult IommuMapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post
 }
 
 SpecResult IommuUnmapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
-                             const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("IOMMU operations never block");
-  }
+                             const Syscall& call) {
   std::uint64_t domain = call.iommu_domain;
   const AbsIommuDomain& pre_d = pre.iommu_domains.at(domain);
   const AbsIommuDomain& post_d = post.iommu_domains.at(domain);
@@ -1309,9 +1279,6 @@ SpecResult IommuUnmapDmaSpec(const AbstractKernel& pre, const AbstractKernel& po
 
 SpecResult RingSetupSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                          const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("ring_setup never blocks");
-  }
   std::uint64_t id = ret.value;
   if (pre.rings.contains(id) || !post.rings.contains(id)) {
     return Fail("new ring identity wrong");
@@ -1336,9 +1303,6 @@ SpecResult RingSetupSpec(const AbstractKernel& pre, const AbstractKernel& post, 
 
 SpecResult RingSubmitSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                           const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("ring_submit never blocks");
-  }
   if (!pre.rings.contains(call.ring_id) || !post.rings.contains(call.ring_id)) {
     return Fail("submit succeeded on an unknown ring");
   }
@@ -1375,9 +1339,6 @@ SpecResult RingSubmitSpec(const AbstractKernel& pre, const AbstractKernel& post,
 // the batch amortization (DESIGN.md §13).
 SpecResult RingEnterSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                          const Syscall& call, const SyscallRet& ret) {
-  if (ret.error == SysError::kBlocked) {
-    return Fail("ring_enter never blocks");
-  }
   if (!pre.rings.contains(call.ring_id) || !post.rings.contains(call.ring_id)) {
     return Fail("enter succeeded on an unknown ring");
   }
@@ -1479,6 +1440,11 @@ SpecResult DispatchSpec(const AbstractKernel& pre, const AbstractKernel& post, T
 
 SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                        const Syscall& call, const SyscallRet& ret) {
+  // The may_block column of the syscall table: only rendezvous IPC parks
+  // its caller.
+  if (ret.error == SysError::kBlocked && !MayBlock(call.op)) {
+    return Fail(std::string(SysOpName(call.op)) + " never blocks");
+  }
   // Failure atomicity holds for every op: a hard error leaves Ψ unchanged
   // (including a kRingDrainAtomic rollback's kWouldFault), so no per-op
   // spec runs on an error.
@@ -1498,7 +1464,7 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kMmap:
       return MmapSpec(pre, post, t, call, ret);
     case SysOp::kMunmap:
-      return MunmapSpec(pre, post, t, call, ret);
+      return MunmapSpec(pre, post, t, call);
     case SysOp::kNewContainer:
       return NewContainerSpec(pre, post, t, call, ret);
     case SysOp::kNewProcess:
@@ -1508,7 +1474,7 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kNewEndpoint:
       return NewEndpointSpec(pre, post, t, call, ret);
     case SysOp::kUnbindEndpoint:
-      return UnbindEndpointSpec(pre, post, t, call, ret);
+      return UnbindEndpointSpec(pre, post, t, call);
     case SysOp::kSend:
       return SendSpec(pre, post, t, call, ret);
     case SysOp::kRecv:
@@ -1516,7 +1482,7 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kCall:
       return CallSpec(pre, post, t, call, ret);
     case SysOp::kReply:
-      return ReplySpec(pre, post, t, call, ret);
+      return ReplySpec(pre, post, t, call);
     case SysOp::kExit:
       return ExitSpec(pre, post, t, ret);
     case SysOp::kKillProcess:
@@ -1526,13 +1492,13 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kIommuCreateDomain:
       return IommuCreateDomainSpec(pre, post, t, ret);
     case SysOp::kIommuAttachDevice:
-      return IommuDeviceSpec(pre, post, call, ret, /*attach=*/true);
+      return IommuDeviceSpec(pre, post, call, /*attach=*/true);
     case SysOp::kIommuDetachDevice:
-      return IommuDeviceSpec(pre, post, call, ret, /*attach=*/false);
+      return IommuDeviceSpec(pre, post, call, /*attach=*/false);
     case SysOp::kIommuMapDma:
-      return IommuMapDmaSpec(pre, post, call, ret);
+      return IommuMapDmaSpec(pre, post, call);
     case SysOp::kIommuUnmapDma:
-      return IommuUnmapDmaSpec(pre, post, call, ret);
+      return IommuUnmapDmaSpec(pre, post, call);
     case SysOp::kRingSetup:
       return RingSetupSpec(pre, post, t, call, ret);
     case SysOp::kRingSubmit:
@@ -1540,7 +1506,7 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kRingEnter:
       return RingEnterSpec(pre, post, t, call, ret);
     case SysOp::kGrantReturn:
-      return GrantReturnSpec(pre, post, t, call, ret);
+      return GrantReturnSpec(pre, post, t, call);
     case SysOp::kObsQuery:
       return ObsQuerySpec(pre, t, call, ret);
   }

@@ -7,11 +7,14 @@
 //
 // SyscallSpec is the one place for the obligations every syscall shares,
 // checked in this order:
-//   1. failure atomicity — `ret.error ∉ {kOk, kBlocked} ==> Ψ' == Ψ`;
-//   2. the op's frame profile — every component of Ψ outside
+//   1. blocking — `ret.error == kBlocked ==> MayBlock(op)` (the may_block
+//      column of ATMO_SYSOPS); any other op fails with "<name> never
+//      blocks";
+//   2. failure atomicity — `ret.error ∉ {kOk, kBlocked} ==> Ψ' == Ψ`;
+//   3. the op's frame profile — every component of Ψ outside
 //      FrameProfileFor(op) (the frame column of ATMO_SYSOPS, see
 //      src/spec/frame_profile.h) is unchanged;
-//   3. the op's own effect, a file-local predicate in syscall_specs.cc that
+//   4. the op's own effect, a file-local predicate in syscall_specs.cc that
 //      states only what the profile cannot: the exact change inside the
 //      profile's components, and the ones a particular path leaves alone.
 // Output determinism — the return value is a function of (Ψ, t, call) — is

@@ -97,6 +97,9 @@ InvariantRegistry InvariantRegistry::StandardSuite(bool recursive_pt) {
   reg.Register("iommu_wf", [](const Kernel& k) {
     return k.iommu().Wf() ? InvResult{} : InvResult::Fail("iommu subsystem ill-formed");
   });
+  reg.Register("rings_wf", [](const Kernel& k) {
+    return k.rings().Wf() ? InvResult{} : InvResult::Fail("syscall-ring table ill-formed");
+  });
   reg.Register("memory_safety_wf", [](const Kernel& k) { return k.MemorySafetyWf(); });
 
   // Page-table refinement: one check per address space plus per IOMMU

@@ -107,34 +107,9 @@ class PermissionMap {
   {
     PermissionMap out;
     for (const auto& [ptr, perm] : rep_) {
-      out.rep_.emplace(ptr, perm.CloneForVerification());
+      out.rep_.emplace_hint(out.rep_.end(), ptr, perm.CloneForVerification());
     }
     return out;
-  }
-
-  // Pooled clone (DESIGN.md §14): deep-copies this map into `out`, reusing
-  // `out`'s existing map nodes and value storage via a sorted merge walk —
-  // entries present in both maps are overwritten in place, stale entries
-  // erased, missing ones inserted with a position hint. Semantically
-  // identical to `*out = CloneForVerification()` (the differential test
-  // proves it), but steady-state reuse performs no node allocations.
-  void CloneForVerificationInto(PermissionMap* out) const
-    requires std::copy_constructible<T>
-  {
-    auto dit = out->rep_.begin();
-    for (const auto& [ptr, perm] : rep_) {
-      while (dit != out->rep_.end() && dit->first < ptr) {
-        dit = out->rep_.erase(dit);
-      }
-      if (dit != out->rep_.end() && dit->first == ptr) {
-        dit->second.CloneForVerificationFrom(perm);
-        ++dit;
-      } else {
-        out->rep_.emplace_hint(dit, ptr, perm.CloneForVerification());
-      }
-    }
-    out->rep_.erase(dit, out->rep_.end());
-    out->dirty_.Reset();  // clones start with an empty mutation log
   }
 
   auto begin() const { return rep_.begin(); }

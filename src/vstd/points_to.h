@@ -129,8 +129,9 @@ class PointsTo {
     return out;
   }
 
-  // Deep copy used only by the verification harness (Kernel::Clone for
-  // noninterference unwinding checks). Not part of the kernel's API surface.
+  // Deep copy used only by Kernel::CloneForVerification (the atomic
+  // ring-drain snapshot, noninterference unwinding checks and tests). Not
+  // part of the kernel's syscall surface.
   PointsTo CloneForVerification() const
     requires std::copy_constructible<T>
   {
@@ -140,26 +141,6 @@ class PointsTo {
       out.value_ = *value_;
     }
     return out;
-  }
-
-  // Pooled variant: overwrite this permission in place with a deep copy of
-  // `src`, reusing the engaged value's storage (a T copy-assign instead of
-  // a destroy + construct). Same harness-only caveat as above.
-  void CloneForVerificationFrom(const PointsTo& src)
-    requires std::copy_constructible<T> && std::assignable_from<T&, const T&>
-  {
-    ATMO_CHECK(src.alive_, "PointsTo used after move/consume");
-    addr_ = src.addr_;
-    alive_ = true;
-    if (src.value_.has_value()) {
-      if (value_.has_value()) {
-        *value_ = *src.value_;
-      } else {
-        value_.emplace(*src.value_);
-      }
-    } else {
-      value_.reset();
-    }
   }
 
  private:

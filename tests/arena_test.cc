@@ -1,6 +1,5 @@
-// Allocation-free hot paths (DESIGN.md §14): SpecArena stress tests, the
-// checker arena's steady-state recycling, and the pooled-vs-fresh
-// CloneForVerification differential over randomized traces.
+// Allocation-free hot paths (DESIGN.md §14): SpecArena stress tests and the
+// checker arena's steady-state recycling.
 //
 // The arena's safety argument is lifetime-based, not convention-based:
 // every live block co-owns the arena's chunks, Reset() refuses while
@@ -304,70 +303,6 @@ TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
   }
   // No scope leaked: this test thread ends with no installed arena.
   EXPECT_EQ(SpecArena::Current(), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Pooled-vs-fresh CloneForVerification differential
-// ---------------------------------------------------------------------------
-
-TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
-  TraceFixture f = TraceFixture::Boot();
-  f.SetupIpcAndDma();
-
-  // The pool: one clone taken at boot and refilled in place forever after.
-  Kernel pooled = f.kernel.CloneForVerification();
-
-  constexpr int kSteps = 4000;
-  constexpr int kCheckEvery = 157;  // odd cadence: refills hit varied states
-  TraceGen gen;
-  std::uint64_t refills = 0;
-  for (int i = 0; i < kSteps; ++i) {
-    TraceGen::Cmd cmd = gen.Gen(f);
-    SyscallRet ret = f.kernel.Step(f.thrds[cmd.thread_idx], cmd.call);
-    gen.Observe(cmd.call, ret);
-    if (ret.error == SysError::kOk &&
-        (cmd.call.op == SysOp::kSend || cmd.call.op == SysOp::kRecv)) {
-      for (int ti = 0; ti < TraceFixture::kThreads; ++ti) {
-        if (f.kernel.HasInbound(f.thrds[ti])) {
-          f.kernel.TakeInbound(f.thrds[ti]);
-        }
-      }
-    }
-
-    if (i % kCheckEvery == 0 || i == kSteps - 1) {
-      Kernel fresh = f.kernel.CloneForVerification();
-      f.kernel.CloneForVerificationInto(&pooled);
-      ++refills;
-      // Abstract-state identity: the pooled refill IS a clone.
-      ASSERT_TRUE(pooled.Abstract() == fresh.Abstract()) << "step " << i;
-      ASSERT_TRUE(pooled.Abstract() == f.kernel.Abstract()) << "step " << i;
-      // And a well-formed one.
-      ASSERT_TRUE(pooled.TotalWf().ok) << "step " << i;
-      // Clone semantics: the pooled copy starts with empty mutation logs.
-      DirtySet dirty;
-      pooled.DrainDirty(&dirty);
-      EXPECT_TRUE(dirty.Empty()) << "step " << i;
-    }
-  }
-  ASSERT_GT(refills, 10u);
-
-  // Steady state: refilling an already-shaped pool performs (almost) no
-  // heap allocations — the §14 pooled-clone claim. The first refills grow
-  // the pool's containers; by now its shape tracks the kernel's, so a
-  // refill right after a refill must be allocation-light even though the
-  // kernel state is nontrivial.
-  if (obs::HeapCountingActive()) {
-    f.kernel.CloneForVerificationInto(&pooled);
-    obs::AllocProbe probe;
-    f.kernel.CloneForVerificationInto(&pooled);
-    std::uint64_t steady_allocs = probe.allocs();
-    obs::AllocProbe fresh_probe;
-    Kernel fresh = f.kernel.CloneForVerification();
-    std::uint64_t fresh_allocs = fresh_probe.allocs();
-    EXPECT_GT(fresh_allocs, 100u);  // a fresh clone rebuilds the whole image
-    EXPECT_LT(steady_allocs * 10, fresh_allocs)
-        << "pooled refill should allocate >=10x less than a fresh clone";
-  }
 }
 
 }  // namespace

@@ -76,30 +76,6 @@ TEST(AverifLintTest, UnloggedMutatorFires) {
   EXPECT_EQ(BinaryExit("--root " + FixtureRoot("unlogged_mutator")), 1);
 }
 
-TEST(AverifLintTest, IndexWithoutWfClauseFires) {
-  std::vector<Finding> findings = Lint(FixtureRoot("index_without_wf"));
-  std::vector<Finding> hits = WithRule(findings, "lockstep-index");
-  ASSERT_EQ(hits.size(), 1u) << ToText(findings, false);
-  EXPECT_EQ(hits[0].file, "src/iommu/iommu_manager.h");
-  EXPECT_NE(hits[0].message.find("domain_index_"), std::string::npos);
-  EXPECT_NE(hits[0].message.find("Wf"), std::string::npos);
-  EXPECT_EQ(findings.size(), hits.size()) << ToText(findings, false);
-  EXPECT_EQ(BinaryExit("--root " + FixtureRoot("index_without_wf")), 1);
-}
-
-TEST(AverifLintTest, IndexNotRefilledInPooledCloneFires) {
-  // Wf clause and CloneForVerification rebuild both present; only the
-  // pooled CloneForVerificationInto forgets the index.
-  std::vector<Finding> findings = Lint(FixtureRoot("index_not_refilled"));
-  std::vector<Finding> hits = WithRule(findings, "lockstep-index");
-  ASSERT_EQ(hits.size(), 1u) << ToText(findings, false);
-  EXPECT_EQ(hits[0].file, "src/iommu/iommu_manager.h");
-  EXPECT_NE(hits[0].message.find("domain_index_"), std::string::npos);
-  EXPECT_NE(hits[0].message.find("CloneForVerificationInto"), std::string::npos);
-  EXPECT_EQ(findings.size(), hits.size()) << ToText(findings, false);
-  EXPECT_EQ(BinaryExit("--root " + FixtureRoot("index_not_refilled")), 1);
-}
-
 // ---------------------------------------------------------------------------
 // Interprocedural rules (call graph + ATMO_HOT_PATH roots).
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "src/spec/frame_profile.h"
 #include "src/verif/invariant_registry.h"
 #include "src/verif/refinement_checker.h"
+#include "src/verif/trace_gen.h"
 #include "src/vstd/check.h"
 
 namespace atmo {
@@ -618,6 +619,7 @@ TEST_F(KernelTest, OutOfRangeSysOpIsRejectedEverywhere) {
     EXPECT_STREQ(SysOpTraceLabel(op), "sys.unknown");
     EXPECT_FALSE(RingSubmittable(op));
     EXPECT_FALSE(ReturnsObjectPointer(op));
+    EXPECT_FALSE(MayBlock(op));
     EXPECT_EQ(FrameProfileFor(op), kWidest);
 
     EXPECT_EQ(Step(thrd_, MakeOp(op)).error, SysError::kInvalid);
@@ -704,6 +706,62 @@ TEST_F(KernelTest, CloneExecutesIdentically) {
   SyscallRet b = clone.Step(thrd_, call);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(clone.Abstract() == kernel_->Abstract());
+}
+
+// At every checkpoint of a randomized ring + grant + obs trace, a clone is
+// Ψ-equal to the original, well-formed and starts with empty dirty logs;
+// then it runs the trace's next 64 commands in step with the original. The
+// lockstep run catches lost state that Ψ does not show: free-list order
+// (which frames the next mmap gets), the IOMMU domain counter, a ring
+// table's id counter and frame bytes. The trace's atomic rings also take
+// ExecBatch's clone snapshot on both kernels.
+TEST(KernelCloneTest, CloneIsFaithfulOverRandomizedTrace) {
+  TraceFixture f = TraceFixture::Boot();
+  f.SetupIpcAndDma();
+  TraceGen gen;
+  gen.ring_ops = gen.grant_ops = gen.obs_ops = true;
+
+  constexpr int kSteps = 4000;
+  constexpr int kCheckEvery = 157;  // odd cadence: checkpoints hit varied states
+  constexpr int kLockstep = 64;
+  std::optional<Kernel> clone;
+  int lockstep_left = 0;
+  int checkpoints = 0;
+  for (int i = 0; i < kSteps; ++i) {
+    if (i % kCheckEvery == 0) {
+      clone = f.kernel.CloneForVerification();
+      ASSERT_TRUE(clone->Abstract() == f.kernel.Abstract()) << "step " << i;
+      InvResult wf = clone->TotalWf();
+      ASSERT_TRUE(wf.ok) << "step " << i << ": " << wf.detail;
+      DirtySet dirty;
+      clone->DrainDirty(&dirty);
+      EXPECT_TRUE(dirty.Empty()) << "step " << i;
+      lockstep_left = kLockstep;
+      ++checkpoints;
+    }
+    TraceGen::Cmd cmd = gen.Gen(f);
+    ThrdPtr t = f.thrds[cmd.thread_idx];
+    SyscallRet ret = f.kernel.Step(t, cmd.call);
+    gen.Observe(cmd.call, ret);
+    if (lockstep_left > 0) {
+      ASSERT_EQ(clone->Step(t, cmd.call), ret)
+          << "step " << i << " op " << SysOpName(cmd.call.op);
+    }
+    for (ThrdPtr thrd : f.thrds) {
+      if (f.kernel.HasInbound(thrd)) {
+        std::optional<IpcPayload> inbound = f.kernel.TakeInbound(thrd);
+        if (lockstep_left > 0) {
+          ASSERT_TRUE(clone->TakeInbound(thrd) == inbound) << "step " << i;
+        }
+      }
+    }
+    if (lockstep_left > 0) {
+      ASSERT_TRUE(clone->Abstract() == f.kernel.Abstract())
+          << "step " << i << " op " << SysOpName(cmd.call.op);
+      --lockstep_left;
+    }
+  }
+  EXPECT_GT(checkpoints, 20);
 }
 
 // ---------------------------------------------------------------------------

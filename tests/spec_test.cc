@@ -9,6 +9,7 @@
 // post state (or the return value) in a targeted way and assert the spec
 // fails.
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -371,6 +372,106 @@ TEST_F(SpecMutationTest, DispatcherRejectsEveryChangeOnError) {
   }
 }
 
+TEST_F(SpecMutationTest, DispatcherRejectsBlockedFromEveryNonBlockingOp) {
+  // A genuine successful transition of every op outside the may_block
+  // column, relabelled as kBlocked, must fail before any other check.
+  auto p2 = kernel_->BootCreateProcess(ctnr_);
+  auto peer = kernel_->BootCreateThread(p2.value);  // in another address space
+  std::map<SysOp, Captured> tour;
+  auto run = [&](Syscall call, ThrdPtr t = kNullPtr) {
+    Captured c = Run(call, t);
+    if (c.ret.error == SysError::kOk && !tour.contains(call.op)) {
+      tour.emplace(call.op, c);
+    }
+    return c.ret;
+  };
+  auto op = [](SysOp o) {
+    Syscall call;
+    call.op = o;
+    return call;
+  };
+  constexpr VAddr kPageVa = 0x401000;  // stays mapped RW until the grant
+
+  run(op(SysOp::kYield));
+  run(Mmap(0x400000, 2));
+  Syscall munmap = op(SysOp::kMunmap);
+  munmap.va_range = VaRange{0x400000, 1, PageSize::k4K};
+  run(munmap);
+  Syscall nc = op(SysOp::kNewContainer);
+  nc.quota = 16;
+  Syscall kill_container = op(SysOp::kKillContainer);
+  kill_container.target = run(nc).value;
+  Syscall kill_process = op(SysOp::kKillProcess);
+  kill_process.target = run(op(SysOp::kNewProcess)).value;
+  run(kill_process);
+  run(kill_container);
+  ThrdPtr exiting = run(op(SysOp::kNewThread)).value;
+  run(op(SysOp::kExit), exiting);
+
+  Syscall iommu = op(SysOp::kIommuCreateDomain);
+  iommu.iommu_domain = run(iommu).value;
+  iommu.device = 1;
+  iommu.iova = 0x10000;
+  iommu.dma_va = kPageVa;
+  for (SysOp o : {SysOp::kIommuAttachDevice, SysOp::kIommuMapDma, SysOp::kIommuUnmapDma,
+                  SysOp::kIommuDetachDevice}) {
+    iommu.op = o;
+    run(iommu);
+  }
+
+  Syscall ring = op(SysOp::kRingSetup);
+  ring.ring_entries = 4;
+  ring.ring_id = run(ring).value;
+  ring.op = SysOp::kRingSubmit;
+  ring.ring_op = SysOp::kMmap;
+  ring.va_range = VaRange{0x800000, 1, PageSize::k4K};
+  ring.map_perm = kRw;
+  run(ring);
+  Syscall enter = op(SysOp::kRingEnter);
+  enter.ring_id = ring.ring_id;
+  run(enter);
+
+  Syscall query = op(SysOp::kObsQuery);
+  query.va_range = VaRange{kPageVa, 1, PageSize::k4K};
+  run(query);
+
+  // IPC with the peer: a borrowed page it returns, then a call it answers.
+  Syscall ne = op(SysOp::kNewEndpoint);
+  ASSERT_EQ(kernel_->pm_mut().BindEndpoint(peer.value, 0, run(ne).value), ProcError::kOk);
+  run(op(SysOp::kRecv), peer.value);
+  Syscall send = op(SysOp::kSend);
+  send.payload.page = PageGrant{.page = kPageVa,
+                                .size = PageSize::k4K,
+                                .dest_va = 0x6000000,
+                                .perm = MapEntryPerm{.writable = false, .user = true},
+                                .mode = GrantMode::kBorrow};
+  run(send);
+  Syscall grant_return = op(SysOp::kGrantReturn);
+  grant_return.va_range = VaRange{0x6000000, 1, PageSize::k4K};
+  run(grant_return, peer.value);
+  run(op(SysOp::kRecv), peer.value);
+  run(op(SysOp::kCall));
+  run(op(SysOp::kReply), peer.value);
+  run(op(SysOp::kUnbindEndpoint));
+
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < kSysOpCount; ++i) {
+    SysOp o = static_cast<SysOp>(i);
+    if (MayBlock(o)) {
+      continue;
+    }
+    auto it = tour.find(o);
+    ASSERT_NE(it, tour.end()) << "no successful " << SysOpName(o) << " in the tour";
+    const Captured& c = it->second;
+    SyscallRet blocked{SysError::kBlocked, c.ret.value};
+    SpecResult r = GuardedSyscallSpec(c.pre, c.post, c.t, c.call, blocked);
+    EXPECT_FALSE(r.ok) << SysOpName(o) << " accepted kBlocked";
+    EXPECT_EQ(r.detail, std::string(SysOpName(o)) + " never blocks");
+    ++cells;
+  }
+  EXPECT_EQ(cells, kSysOpCount - 3);
+}
+
 // ---------------------------------------------------------------------------
 // DispatchSpec
 // ---------------------------------------------------------------------------
@@ -465,7 +566,8 @@ TEST(FrameProfileTest, TablePropertiesHold) {
 
   // Whole-table properties, over every row. Names are distinct and
   // non-empty, each trace label is "sys." + name, and kRingEnter's profile
-  // covers every op a ring can drain, plus the ring itself.
+  // covers every op a ring can drain, plus the ring itself; no op a ring
+  // can drain may block.
   auto within = [](const FrameProfile& a, const FrameProfile& b) {
     return (!a.threads || b.threads) && (!a.containers || b.containers) &&
            (!a.procs || b.procs) && (!a.endpoints || b.endpoints) &&
@@ -486,6 +588,8 @@ TEST(FrameProfileTest, TablePropertiesHold) {
     if (RingSubmittable(op)) {
       EXPECT_TRUE(within(FrameProfileFor(op), ring_enter)) << "op " << name;
       EXPECT_FALSE(FrameProfileFor(op).rings) << "op " << name;
+      // A CQ entry cannot represent a thread parked on an endpoint.
+      EXPECT_FALSE(MayBlock(op)) << "op " << name;
     }
   }
 }

@@ -2,6 +2,8 @@
 // (ordering, timing, parallel equivalence, failure reporting) and the
 // refinement checker's bookkeeping.
 
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "src/verif/invariant_registry.h"
@@ -14,6 +16,14 @@ namespace atmo {
 struct VmManagerTestPeer {
   static void AddHeldFrame(VmManager* vm, PagePtr page) {
     vm->frame_perms_.emplace(page, FramePerm::Mint(page, PageSize::k4K));
+  }
+};
+
+// Rewinds the ring-id counter to the newest live id (0 with no ring), so the
+// next setup would reissue a live or a sentinel id.
+struct SyscallRingTableTestPeer {
+  static void RewindIds(SyscallRingTable* rings) {
+    rings->next_id_ = rings->rings_.empty() ? 0 : rings->rings_.rbegin()->first;
   }
 };
 
@@ -103,14 +113,78 @@ TEST(InvariantRegistryTest, StandardSuiteDetectsEachCorruptionClass) {
   }
 }
 
+// Flips one bit (present, writable, user, NX or an address bit) of a
+// random leaf PTE of `tables`, CPU address spaces or IOMMU domains.
+void FlipLeafPteBit(Kernel* k, const std::map<std::uint64_t, PageTable>& tables,
+                    Xorshift* rng) {
+  struct Leaf {
+    PAddr cr3;
+    VAddr va;
+    PageSize size;
+  };
+  std::vector<Leaf> leaves;
+  for (const auto& [key, table] : tables) {
+    for (const auto& [va, entry] : table.AddressSpace()) {
+      leaves.push_back(Leaf{table.cr3(), va, entry.size});
+    }
+  }
+  ASSERT_FALSE(leaves.empty());
+  const Leaf& leaf = leaves[rng->Next() % leaves.size()];
+  int leaf_level = leaf.size == PageSize::k4K ? 1 : leaf.size == PageSize::k2M ? 2 : 3;
+  PAddr node = leaf.cr3;
+  for (int level = 4; level > leaf_level; --level) {
+    node = k->mem().HwReadU64(node + VaIndex(leaf.va, level) * 8) & kPteAddrMask;
+  }
+  const PAddr entry = node + VaIndex(leaf.va, leaf_level) * 8;
+  constexpr std::uint64_t kBits[] = {kPtePresent, kPteWritable, kPteUser, kPteNx,
+                                     kPageSize4K << 3};
+  k->mem_mut().HwWriteU64(entry,
+                          k->mem().HwReadU64(entry) ^ kBits[rng->Next() % std::size(kBits)]);
+}
+
+// Gives `k` a DMA mapping through checked syscalls when no IOMMU domain has
+// one: a fresh domain maps a runnable trace thread's DMA-donor page.
+void EnsureDmaMapping(Kernel* k, const TraceFixture& f) {
+  for (const auto& [id, table] : k->iommu().domains()) {
+    if (table.MappingCount() != 0) {
+      return;
+    }
+  }
+  int ti = 0;
+  while (!f.Dispatchable(f.thrds[ti])) {
+    ++ti;
+  }
+  RefinementChecker checker(k);
+  Syscall call;
+  call.op = SysOp::kIommuCreateDomain;
+  SyscallRet domain = checker.Step(f.thrds[ti], call);
+  ASSERT_EQ(domain.error, SysError::kOk);
+  call.op = SysOp::kIommuMapDma;
+  call.iommu_domain = domain.value;
+  call.iova = 0x10000;
+  call.dma_va = TraceFixture::kDmaVaBase + static_cast<VAddr>(ti) * kPageSize4K;
+  ASSERT_EQ(checker.Step(f.thrds[ti], call).error, SysError::kOk);
+}
+
 // TotalWf reads the frame table in one pass and the page-table nodes a line
 // at a time; the standard suite runs each obligation on its own. On
 // randomized ring + grant + obs trace states with one injected fault each,
 // TotalWf must reach the verdict of the whole suite, flat and recursive.
 TEST(TotalWfDifferentialTest, AgreesWithStandardSuiteUnderInjectedFaults) {
-  enum class Fault { kNone, kMemUsed, kIncMapCount, kSetOwner, kExtraFramePerm, kPteBitFlip };
-  constexpr Fault kFaults[] = {Fault::kNone,     Fault::kMemUsed,        Fault::kIncMapCount,
-                               Fault::kSetOwner, Fault::kExtraFramePerm, Fault::kPteBitFlip};
+  enum class Fault {
+    kNone,
+    kMemUsed,
+    kIncMapCount,
+    kSetOwner,
+    kExtraFramePerm,
+    kPteBitFlip,
+    kIommuPteBitFlip,
+    kRingIdRewind
+  };
+  constexpr Fault kFaults[] = {Fault::kNone,           Fault::kMemUsed,
+                               Fault::kIncMapCount,    Fault::kSetOwner,
+                               Fault::kExtraFramePerm, Fault::kPteBitFlip,
+                               Fault::kIommuPteBitFlip, Fault::kRingIdRewind};
   const InvariantRegistry flat_suite = InvariantRegistry::StandardSuite(false);
   const InvariantRegistry recursive_suite = InvariantRegistry::StandardSuite(true);
 
@@ -163,32 +237,16 @@ TEST(TotalWfDifferentialTest, AgreesWithStandardSuiteUnderInjectedFaults) {
           case Fault::kExtraFramePerm:
             VmManagerTestPeer::AddHeldFrame(&k.vm_mut(), *alloc.FreePages(PageSize::k4K).begin());
             break;
-          case Fault::kPteBitFlip: {
-            struct Leaf {
-              PAddr cr3;
-              VAddr va;
-              PageSize size;
-            };
-            std::vector<Leaf> leaves;
-            for (const auto& [proc, table] : k.vm().tables()) {
-              for (const auto& [va, entry] : table.AddressSpace()) {
-                leaves.push_back(Leaf{table.cr3(), va, entry.size});
-              }
-            }
-            ASSERT_FALSE(leaves.empty());
-            const Leaf& leaf = leaves[rng.Next() % leaves.size()];
-            int leaf_level = leaf.size == PageSize::k4K ? 1 : leaf.size == PageSize::k2M ? 2 : 3;
-            PAddr node = leaf.cr3;
-            for (int level = 4; level > leaf_level; --level) {
-              node = k.mem().HwReadU64(node + VaIndex(leaf.va, level) * 8) & kPteAddrMask;
-            }
-            const PAddr entry = node + VaIndex(leaf.va, leaf_level) * 8;
-            constexpr std::uint64_t kBits[] = {kPtePresent, kPteWritable, kPteUser, kPteNx,
-                                               kPageSize4K << 3};
-            k.mem_mut().HwWriteU64(entry, k.mem().HwReadU64(entry) ^
-                                              kBits[rng.Next() % std::size(kBits)]);
+          case Fault::kPteBitFlip:
+            ASSERT_NO_FATAL_FAILURE(FlipLeafPteBit(&k, k.vm().tables(), &rng));
             break;
-          }
+          case Fault::kIommuPteBitFlip:
+            ASSERT_NO_FATAL_FAILURE(EnsureDmaMapping(&k, f));
+            ASSERT_NO_FATAL_FAILURE(FlipLeafPteBit(&k, k.iommu().domains(), &rng));
+            break;
+          case Fault::kRingIdRewind:
+            SyscallRingTableTestPeer::RewindIds(&k.rings_mut());
+            break;
         }
         InvResult total = k.TotalWf();
         SuiteReport flat = flat_suite.RunAll(k, 1);
@@ -200,6 +258,12 @@ TEST(TotalWfDifferentialTest, AgreesWithStandardSuiteUnderInjectedFaults) {
         if (fault == Fault::kExtraFramePerm) {
           // Its only fault is held != mapped: MemorySafetyWf reports it.
           EXPECT_EQ(total.detail, "held frame permissions differ from the mapped set");
+        }
+        if (fault == Fault::kIommuPteBitFlip) {
+          EXPECT_EQ(total.detail.rfind("IOMMU page-table refinement: ", 0), 0u) << total.detail;
+        }
+        if (fault == Fault::kRingIdRewind) {
+          EXPECT_EQ(total.detail, "syscall-ring table ill-formed");
         }
         EXPECT_EQ(total.ok, flat.AllOk()) << "seed " << seed << " step " << step << " fault "
                                           << fault_id;

@@ -21,7 +21,6 @@ std::vector<Finding> RunAllRules(const Options& options) {
   std::vector<Finding> findings;
   Project project = Project::Load(options.root);
   RuleDirtyLog(options, project, &findings);
-  RuleLockstepIndex(options, &findings);
   RuleHotPathAlloc(options, project, &findings);
   RulePayloadCopy(options, project, &findings);
   RuleTraceStageCoverage(options, project, &findings);

@@ -8,13 +8,11 @@
 // src/core/syscall.h), and -Werror=switch/-Werror=switch-enum make the two
 // hand-written dispatchers fail to compile when they miss an op. Nor is
 // failure atomicity: SyscallSpec checks it once, before any per-op spec.
-// Per-function rules (DESIGN.md §11):
+// Per-function rule (DESIGN.md §11):
 //
 //   dirty-log            every public mutating method of the logged
 //                        subsystems records into its dirty log, directly or
 //                        via a callee that does (call-graph transitive)
-//   lockstep-index       every hashed index member has a Wf cross-check
-//                        clause and a CloneForVerification rebuild
 //
 // Interprocedural rules over the project call graph (DESIGN.md §16):
 //

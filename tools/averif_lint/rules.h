@@ -52,8 +52,6 @@ struct Subsystem {
   std::string source;                       // may be empty
   std::vector<std::string> mark_tokens;     // substrings counting as a direct mark
   std::vector<std::string> allow_methods;   // infrastructure methods (drains etc.)
-  std::vector<std::string> wf_methods;      // cross-check predicate names
-  bool logged_by_caller = false;            // class-level dirty-log exemption
 };
 
 const std::vector<Subsystem>& Subsystems();
@@ -61,9 +59,6 @@ const std::vector<Subsystem>& Subsystems();
 // ---------------------------------------------------------------------------
 // Rule entry points
 // ---------------------------------------------------------------------------
-
-// Per-tree rules loading their own inputs.
-void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings);
 
 // Call-graph rules.
 void RuleDirtyLog(const Options& options, const Project& project,

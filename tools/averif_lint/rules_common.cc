@@ -178,56 +178,37 @@ std::vector<Method> ParseMethods(const SourceFile& f, Range body, bool default_p
 }
 
 const std::vector<Subsystem>& Subsystems() {
+  // PageTable has no row: it has no log of its own, and every mutation
+  // happens under a VmManager/IommuManager call that logs the owning
+  // proc/domain (the "logged-by-caller" pattern, see vm_manager.h).
   static const std::vector<Subsystem> subsystems = {
       {"PageAllocator",
        "src/pmem/page_allocator.h",
        "src/pmem/page_allocator.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
-       {"DrainDirtyInto"},
-       {"Wf"},
-       false},
+       {"DrainDirtyInto"}},
       {"VmManager",
        "src/core/vm_manager.h",
        "src/core/vm_manager.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
-       {"DrainDirtyInto"},
-       {"Wf"},
-       false},
+       {"DrainDirtyInto"}},
       {"IommuManager",
        "src/iommu/iommu_manager.h",
        "src/iommu/iommu_manager.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
-       {"DrainDirtyInto"},
-       {"Wf"},
-       false},
-      // PageTable has no log of its own: every mutation happens under a
-      // VmManager/IommuManager call that logs the owning proc/domain (the
-      // "logged-by-caller" pattern, see vm_manager.h). Its mapping store is
-      // the only record of its mappings, so it has no index to check; the
-      // row keeps the lockstep-index rule watching for a future one.
-      {"PageTable",
-       "src/pagetable/page_table.h",
-       "src/pagetable/page_table.cc",
-       {},
-       {},
-       {"StructureWf"},
-       true},
+       {"DrainDirtyInto"}},
       {"ProcessManager",
        "src/proc/process_manager.h",
        "src/proc/process_manager.cc",
        // PermissionMap's GetMut/Insert/Remove log into the per-map dirty
        // sets; scheduler state is covered by sched_dirty_.
        {".GetMut(", ".Insert(", ".Remove(", "sched_dirty_ = true", ".DrainInto"},
-       {"DrainDirty"},
-       {"Wf"},
-       false},
+       {"DrainDirty"}},
       {"SyscallRingTable",
        "src/core/syscall_ring.h",
        "src/core/syscall_ring.cc",
        {"dirty_.Mark", "dirty_.DrainInto"},
-       {"DrainDirtyInto"},
-       {"Wf"},
-       false},
+       {"DrainDirtyInto"}},
   };
   return subsystems;
 }

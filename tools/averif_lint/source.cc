@@ -257,41 +257,6 @@ std::optional<Range> ClassBody(const SourceFile& f, const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<Range> FunctionBody(const SourceFile& f, const std::string& func) {
-  const std::string& code = f.code;
-  for (std::size_t pos : FindIdent(code, func)) {
-    std::size_t i = SkipWs(code, pos + func.size());
-    if (i >= code.size() || code[i] != '(') {
-      continue;
-    }
-    std::size_t close = MatchParen(code, i);
-    if (close == std::string::npos) {
-      continue;
-    }
-    std::size_t j = close;
-    while (j < code.size() && code[j] != '{' && code[j] != ';') {
-      if (code[j] == '(') {  // noexcept(...) etc.
-        std::size_t pc = MatchParen(code, j);
-        if (pc == std::string::npos) {
-          break;
-        }
-        j = pc;
-        continue;
-      }
-      ++j;
-    }
-    if (j >= code.size() || code[j] != '{') {
-      continue;
-    }
-    std::size_t bclose = MatchBrace(code, j);
-    if (bclose == std::string::npos) {
-      continue;
-    }
-    return Range{j, bclose};
-  }
-  return std::nullopt;
-}
-
 std::vector<std::string> TreeFiles(const std::string& root) {
   std::vector<std::string> out;
   fs::path src = fs::path(root) / "src";

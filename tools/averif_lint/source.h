@@ -57,12 +57,6 @@ struct Range {
 // [begin, end) of the body of `class name { ... }`, or nullopt.
 std::optional<Range> ClassBody(const SourceFile& f, const std::string& name);
 
-// Function body lookup: definition of `func` in `f` (first match whose
-// parameter list is followed by '{'). Works for free functions and
-// qualified definitions (searches the unqualified name). The returned range
-// includes the braces: [pos of '{', one past '}').
-std::optional<Range> FunctionBody(const SourceFile& f, const std::string& func);
-
 // All .cc/.h files under root/src, sorted, repo-root-relative.
 std::vector<std::string> TreeFiles(const std::string& root);
 
