@@ -20,7 +20,11 @@
 // Ψ with concrete state without building a second one, so its allocations
 // per audit (the extra allocations of the audited run over the same steps,
 // divided by its audits) must not grow with the machine either; that
-// growth is gated too, and time per audit is information only.
+// growth is gated too, and time per audit is information only. And each
+// size is run a third time with Wf checked at every step and the audit off,
+// so every check after the first is a LocalWf (DESIGN.md §8): its entries
+// read per checked step, a deterministic work counter, are gated the same
+// way, and its Wf time per step is information.
 
 #include <cstdio>
 #include <cstdlib>
@@ -105,6 +109,8 @@ struct SweepRow {
   double abstraction_ns_per_step = 0.0;
   double allocs_per_audit = 0.0;  // heap + arena
   double audit_ns_per_audit = 0.0;
+  double local_wf_entries_per_step = 0.0;
+  double wf_ns_per_step = 0.0;
 };
 
 constexpr std::uint64_t kSweepAuditEvery = 16;
@@ -116,16 +122,22 @@ struct SweepRun {
   double steps_per_sec = 0.0;
 };
 
-SweepRun RunFramesConfig(std::uint64_t frames, std::uint64_t ops, std::uint64_t audit_every) {
+SweepRun RunFramesConfig(std::uint64_t frames, std::uint64_t ops, std::uint64_t audit_every,
+                         std::uint64_t check_wf_every = 0) {
   Env env = Env::Build(frames);
   RefinementChecker checker(
-      &env.kernel, RefinementChecker::Options{.check_wf_every = 0, .audit_every = audit_every,
-                                              .incremental = true});
+      &env.kernel, RefinementChecker::Options{.check_wf_every = check_wf_every,
+                                              .audit_every = audit_every, .incremental = true});
+  // The first step's TotalWf, like its full Abstract(), is an O(frames)
+  // one-off outside the measured steps.
   RunWorkload(&checker, env.thrd, 1);
   CheckStats before = checker.stats();
   char name[64];
   std::snprintf(name, sizeof(name), "incremental, %llu frames%s",
-                static_cast<unsigned long long>(frames), audit_every != 0 ? ", audit" : "");
+                static_cast<unsigned long long>(frames),
+                check_wf_every != 0 ? ", wf"
+                : audit_every != 0  ? ", audit"
+                                    : "");
   Row row = RunTimed(name, ops,
                      [&](std::uint64_t n) { return RunWorkload(&checker, env.thrd, n); });
   PrintRow(row, "K");
@@ -135,6 +147,9 @@ SweepRun RunFramesConfig(std::uint64_t frames, std::uint64_t ops, std::uint64_t 
   out.stats.abstraction_ns = after.abstraction_ns - before.abstraction_ns;
   out.stats.audit_ns = after.audit_ns - before.audit_ns;
   out.stats.audit_passes = after.audit_passes - before.audit_passes;
+  out.stats.wf_ns = after.wf_ns - before.wf_ns;
+  out.stats.total_wf_runs = after.total_wf_runs - before.total_wf_runs;
+  out.stats.local_wf_entries = after.local_wf_entries - before.local_wf_entries;
   out.allocs = (after.heap_allocs - before.heap_allocs) +
                (after.arena_allocs - before.arena_allocs);
   out.steps_per_sec = row.ops_per_sec;
@@ -144,6 +159,10 @@ SweepRun RunFramesConfig(std::uint64_t frames, std::uint64_t ops, std::uint64_t 
 SweepRow RunFramesRow(std::uint64_t frames, std::uint64_t ops) {
   SweepRun plain = RunFramesConfig(frames, ops, /*audit_every=*/0);
   SweepRun audited = RunFramesConfig(frames, ops, kSweepAuditEvery);
+  SweepRun wf = RunFramesConfig(frames, ops, /*audit_every=*/0, /*check_wf_every=*/1);
+  if (wf.stats.total_wf_runs != 0) {
+    std::fprintf(stderr, "frames sweep: a measured Wf check ran TotalWf\n");
+  }
   SweepRow out;
   out.frames = frames;
   out.steps = plain.stats.steps;
@@ -156,6 +175,9 @@ SweepRow RunFramesRow(std::uint64_t frames, std::uint64_t ops) {
   double audits = static_cast<double>(audited.stats.audit_passes);
   out.allocs_per_audit = static_cast<double>(audited.allocs - plain.allocs) / audits;
   out.audit_ns_per_audit = static_cast<double>(audited.stats.audit_ns) / audits;
+  out.local_wf_entries_per_step =
+      static_cast<double>(wf.stats.local_wf_entries) / static_cast<double>(wf.stats.steps);
+  out.wf_ns_per_step = static_cast<double>(wf.stats.wf_ns) / static_cast<double>(wf.stats.steps);
   return out;
 }
 
@@ -183,6 +205,8 @@ void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_w
     w.KV("abstraction_ns", r.stats.abstraction_ns);
     w.KV("spec_ns", r.stats.spec_ns);
     w.KV("wf_ns", r.stats.wf_ns);
+    w.KV("total_wf_runs", r.stats.total_wf_runs);
+    w.KV("local_wf_entries", r.stats.local_wf_entries);
     w.KV("audit_ns", r.stats.audit_ns);
     w.KV("full_abstractions", r.stats.full_abstractions);
     w.KV("delta_abstractions", r.stats.delta_abstractions);
@@ -205,6 +229,8 @@ void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_w
     w.KV("audit_every", kSweepAuditEvery);
     w.KV("allocs_per_audit", r.allocs_per_audit, "%.2f");
     w.KV("audit_ns_per_audit", r.audit_ns_per_audit, "%.1f");
+    w.KV("local_wf_entries_per_step", r.local_wf_entries_per_step, "%.2f");
+    w.KV("wf_ns_per_step", r.wf_ns_per_step, "%.1f");
     w.EndObject();
   }
   w.EndArray();
@@ -216,6 +242,10 @@ void EmitJson(const Result* results, int n, double speedup_wf0, double speedup_w
        Growth(sweep.front().allocs_per_audit, sweep.back().allocs_per_audit), "%.3f");
   w.KV("frames_audit_time_growth",
        sweep.back().audit_ns_per_audit / sweep.front().audit_ns_per_audit, "%.3f");
+  w.KV("frames_wf_entries_growth",
+       sweep.back().local_wf_entries_per_step / sweep.front().local_wf_entries_per_step, "%.3f");
+  w.KV("frames_wf_time_growth", sweep.back().wf_ns_per_step / sweep.front().wf_ns_per_step,
+       "%.3f");
   w.EndObject();
   std::printf("\nJSON: %s\n", w.str().c_str());
   if (obs::WriteTextFile("BENCH_incremental_refinement.json", w.str() + "\n")) {
@@ -260,7 +290,8 @@ int main() {
   double speedup_wf0 = results[1].steps_per_sec / results[0].steps_per_sec;
   double speedup_wf16 = results[3].steps_per_sec / results[2].steps_per_sec;
 
-  std::printf("\n=== Frames sweep: incremental, wf off, audit off / every %llu ===\n",
+  std::printf("\n=== Frames sweep: incremental, wf off, audit off / every %llu; wf every "
+              "step, audit off ===\n",
               static_cast<unsigned long long>(kSweepAuditEvery));
   PrintHeader("checked syscall mix (mmap/munmap/yield)", "K steps/s");
   std::vector<SweepRow> sweep;
@@ -269,16 +300,21 @@ int main() {
   }
   for (const SweepRow& r : sweep) {
     std::printf("  %7llu frames: %7.1f allocs/checked step, %9.0f ns abstraction/step, "
-                "%7.1f allocs/audit, %10.0f ns/audit\n",
+                "%7.1f allocs/audit, %10.0f ns/audit, %7.1f LocalWf entries/step, "
+                "%8.0f ns Wf/step\n",
                 static_cast<unsigned long long>(r.frames), r.allocs_per_checked_step,
-                r.abstraction_ns_per_step, r.allocs_per_audit, r.audit_ns_per_audit);
+                r.abstraction_ns_per_step, r.allocs_per_audit, r.audit_ns_per_audit,
+                r.local_wf_entries_per_step, r.wf_ns_per_step);
   }
-  std::printf("  16K -> 256K growth: allocs/step %.2fx and allocs/audit %.2fx (gated in "
-              "ci/perf_floors.json), abstraction time %.2fx and audit time %.2fx (info)\n",
+  std::printf("  16K -> 256K growth: allocs/step %.2fx, allocs/audit %.2fx and LocalWf "
+              "entries/step %.2fx (gated in ci/perf_floors.json), abstraction time %.2fx, "
+              "audit time %.2fx and Wf time %.2fx (info)\n",
               sweep.back().allocs_per_checked_step / sweep.front().allocs_per_checked_step,
               Growth(sweep.front().allocs_per_audit, sweep.back().allocs_per_audit),
+              sweep.back().local_wf_entries_per_step / sweep.front().local_wf_entries_per_step,
               sweep.back().abstraction_ns_per_step / sweep.front().abstraction_ns_per_step,
-              sweep.back().audit_ns_per_audit / sweep.front().audit_ns_per_audit);
+              sweep.back().audit_ns_per_audit / sweep.front().audit_ns_per_audit,
+              sweep.back().wf_ns_per_step / sweep.front().wf_ns_per_step);
   EmitJson(results, 5, speedup_wf0, speedup_wf16, sweep);
 
   bool ok_wf0 = speedup_wf0 >= 5.0;

@@ -92,6 +92,23 @@ double Median(std::vector<double> samples) {
 
 // Times `timed` per op in blocks of `per_block` (reset runs untimed between
 // ops) and returns the median block's cycles/op.
+// The process's peak resident set (VmHWM), in MiB; 0 where /proc is absent.
+double PeakRssMib() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) {
+    return 0.0;
+  }
+  char line[256];
+  double kib = 0.0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lf kB", &kib) == 1) {
+      break;
+    }
+  }
+  std::fclose(status);
+  return kib / 1024.0;
+}
+
 double MedianPerOp(int samples, int per_block, const std::function<void()>& timed,
                    const std::function<void()>& reset) {
   std::vector<double> blocks;
@@ -413,52 +430,93 @@ std::vector<double> Map2MFlatness() {
 // blocked by the reserved boot frames), so AllocPage1G must fail. The
 // linear allocator proves exhaustion by probing every region; the
 // segregated allocator by finding no coalescible region indexed.
-double Alloc1GExhausted(std::uint64_t frames) {
-  PageAllocator alloc(frames, kFramesPer2M);  // first 2M unit reserved
-  std::uint64_t regions = frames / kFramesPer1G;
+class Alloc1GFragmented {
+ public:
+  explicit Alloc1GFragmented(std::uint64_t frames) : alloc_(frames, kFramesPer2M) {
+    // Frames pop lowest-first: sweep-allocate up to the last region's base,
+    // keep each region-base frame as the fragment, release the rest.
+    std::uint64_t last_base = (frames / kFramesPer1G - 1) * kFramesPer1G;
+    std::vector<PageAlloc> sweep;
+    sweep.reserve(frames - kFramesPer2M);
+    for (;;) {
+      std::optional<PageAlloc> page = alloc_.AllocPage4K(kNullPtr);
+      if (!page.has_value()) {
+        break;
+      }
+      std::uint64_t frame = page->ptr / kPageSize4K;
+      if (frame % kFramesPer1G == 0) {
+        fragments_.push_back(std::move(*page));
+      } else {
+        sweep.push_back(std::move(*page));
+      }
+      if (frame >= last_base) {
+        break;
+      }
+    }
+    for (PageAlloc& page : sweep) {
+      alloc_.FreePage(page.ptr, std::move(page.perm));
+    }
+  }
+  Alloc1GFragmented(const Alloc1GFragmented&) = delete;
+  Alloc1GFragmented& operator=(const Alloc1GFragmented&) = delete;
+  ~Alloc1GFragmented() {
+    for (PageAlloc& page : fragments_) {
+      alloc_.FreePage(page.ptr, std::move(page.perm));
+    }
+  }
 
-  // Frames pop lowest-first: sweep-allocate up to the last region's base,
-  // keep each region-base frame as the fragment, release the rest.
-  std::vector<PageAlloc> sweep;
-  sweep.reserve(frames - kFramesPer2M);
-  std::vector<PageAlloc> fragments;
-  std::uint64_t last_base = (regions - 1) * kFramesPer1G;
-  for (;;) {
-    std::optional<PageAlloc> page = alloc.AllocPage4K(kNullPtr);
-    if (!page.has_value()) {
-      break;
+  // Mean cycles of one failed AllocPage1G over a block of `per_block`.
+  double Block(int per_block) {
+    std::uint64_t total = 0;
+    for (int i = 0; i < per_block; ++i) {
+      std::uint64_t start = ReadCycles();
+      if (alloc_.AllocPage1G(kNullPtr).has_value()) {
+        std::fprintf(stderr, "alloc_1g: allocation succeeded on a fragmented pool\n");
+        std::exit(1);
+      }
+      total += ReadCycles() - start;
     }
-    std::uint64_t frame = page->ptr / kPageSize4K;
-    if (frame % kFramesPer1G == 0) {
-      fragments.push_back(std::move(*page));
-    } else {
-      sweep.push_back(std::move(*page));
-    }
-    if (frame >= last_base) {
-      break;
-    }
+    return static_cast<double>(total) / per_block;
   }
-  for (PageAlloc& page : sweep) {
-    alloc.FreePage(page.ptr, std::move(page.perm));
-  }
-  sweep.clear();
 
-  int warmup = static_cast<int>(bench::ScaledOps(40));
-  int samples = static_cast<int>(bench::ScaledOps(100));
-  auto timed = [&] {
-    if (alloc.AllocPage1G(kNullPtr).has_value()) {
-      std::fprintf(stderr, "alloc_1g: allocation succeeded on a fragmented pool\n");
-      std::exit(1);
+ private:
+  PageAllocator alloc_;
+  std::vector<PageAlloc> fragments_;
+};
+
+// alloc_1g_exhausted medians at every pool size, taken in interleaved
+// passes as Map2MFlatness takes map_2m's: the three fragmented pools stay
+// alive, and each pass takes a block from every size ascending, then
+// descending, so host drift lands on every size alike.
+std::vector<double> Alloc1GFlatness() {
+  // Built largest first: a pool's construction sweep is freed before the
+  // next, smaller pool is built, which keeps the peak resident set low.
+  std::vector<std::unique_ptr<Alloc1GFragmented>> pools(std::size(k1GSizes));
+  for (std::size_t i = pools.size(); i-- > 0;) {
+    pools[i] = std::make_unique<Alloc1GFragmented>(k1GSizes[i]);
+  }
+  constexpr int kPerBlock = 10;
+  const int warmup_blocks = std::max(1, static_cast<int>(bench::ScaledOps(40)) / kPerBlock);
+  for (const std::unique_ptr<Alloc1GFragmented>& pool : pools) {
+    for (int i = 0; i < warmup_blocks; ++i) {
+      pool->Block(kPerBlock);
     }
-  };
-  for (int i = 0; i < warmup; ++i) {
-    timed();
   }
-  double median = MedianPerOp(samples, 10, timed, [] {});
-  for (PageAlloc& page : fragments) {
-    alloc.FreePage(page.ptr, std::move(page.perm));
+  const int passes = std::max(1, static_cast<int>(bench::ScaledOps(100)) / 2);
+  std::vector<std::vector<double>> blocks(pools.size());
+  for (int pass = 0; pass < passes; ++pass) {
+    for (std::size_t i = 0; i < pools.size(); ++i) {
+      blocks[i].push_back(pools[i]->Block(kPerBlock));
+    }
+    for (std::size_t i = pools.size(); i-- > 0;) {
+      blocks[i].push_back(pools[i]->Block(kPerBlock));
+    }
   }
-  return median;
+  std::vector<double> medians;
+  for (std::vector<double>& size_blocks : blocks) {
+    medians.push_back(Median(std::move(size_blocks)));
+  }
+  return medians;
 }
 
 // --- Bare allocator: steady-state 1G alloc+free with a free region ---
@@ -604,10 +662,8 @@ int main() {
   ops.push_back(std::move(map_2m));
 
   OpResult alloc_1g{.op = "alloc_1g_exhausted", .flat_required = true};
-  for (std::uint64_t frames : k1GSizes) {
-    alloc_1g.frames.push_back(frames);
-    alloc_1g.medians.push_back(Alloc1GExhausted(frames));
-  }
+  alloc_1g.frames.assign(std::begin(k1GSizes), std::end(k1GSizes));
+  alloc_1g.medians = Alloc1GFlatness();
   ops.push_back(std::move(alloc_1g));
 
   OpResult hit{.op = "alloc_free_1g", .flat_required = false};
@@ -645,6 +701,9 @@ int main() {
   for (const OpResult& r : ops) {
     all_ok = all_ok && r.Ok();
   }
+  // Mostly the three fragmented 1G pools' frame metadata, alive together.
+  const double peak_rss_mib = PeakRssMib();
+  std::printf("\npeak RSS: %.1f MiB\n", peak_rss_mib);
 
   obs::JsonWriter w;
   w.BeginObject();
@@ -656,6 +715,7 @@ int main() {
     AppendOpJson(&w, r);
   }
   w.EndArray();
+  w.KV("peak_rss_mib", peak_rss_mib, "%.1f");
   w.KV("all_ok", all_ok);
   w.EndObject();
   obs::WriteTextFile("BENCH_table3_syscall_latency.json", w.str() + "\n");

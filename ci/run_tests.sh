@@ -127,8 +127,10 @@ ATMO_BENCH_QUICK=1 ./build-ci/bench/bench_incremental_refinement
 # max_frames_alloc_growth from the 16K- to the 256K-frame machine. The
 # audit compares the cached Ψ with concrete state instead of rebuilding it,
 # so its allocations per audit may grow at most
-# max_frames_audit_alloc_growth over the same sweep. Time per step and per
-# audit is printed by the bench as information only.
+# max_frames_audit_alloc_growth over the same sweep. Wf by induction reads
+# only what a step wrote, so LocalWf's entries per checked step may grow at
+# most max_frames_wf_entries_growth. Time per step, per audit and per Wf
+# check is printed by the bench as information only.
 python3 - <<'EOF'
 import json, sys
 report = json.load(open("BENCH_incremental_refinement.json"))
@@ -139,7 +141,9 @@ for what, key, growth_key, cap_key in (
         ("allocs/checked step", "allocs_per_checked_step", "frames_alloc_growth",
          "max_frames_alloc_growth"),
         ("allocs/audit", "allocs_per_audit", "frames_audit_alloc_growth",
-         "max_frames_audit_alloc_growth")):
+         "max_frames_audit_alloc_growth"),
+        ("LocalWf entries/checked step", "local_wf_entries_per_step",
+         "frames_wf_entries_growth", "max_frames_wf_entries_growth")):
     cap = floors[cap_key]
     growth = report[growth_key]
     rows = ", ".join(f'{r["frames"]}: {r[key]:.1f}' for r in sweep)

@@ -1311,10 +1311,10 @@ const char* Kernel::AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* 
   return nullptr;
 }
 
-void Kernel::DrainDirty(DirtySet* out) {
+void Kernel::DrainDirty(DirtySet* out, PageAllocator::Writes* writes) {
   out->Clear();
   pm_.DrainDirty(out);
-  alloc_.DrainDirtyInto(&out->pages, &out->overflow);
+  alloc_.DrainWrites(&out->pages, &out->overflow, writes);
   vm_.DrainDirtyInto(&out->spaces, &out->overflow);
   iommu_.DrainDirtyInto(&out->iommu_domains, &out->overflow);
   rings_.DrainDirtyInto(&out->rings, &out->overflow);
@@ -1454,11 +1454,13 @@ class MemorySafetyObligations {
       for (const auto& [va, entry] : table.AddressSpace()) {
         counts_.set(entry.addr, CountOf(entry.addr) + 1);
       }
+      mappings_ += table.MappingCount();
     }
     for (const auto& [id, table] : k.iommu().domains()) {
       for (const auto& [iova, entry] : table.AddressSpace()) {
         counts_.set(entry.addr, CountOf(entry.addr) + 1);
       }
+      mappings_ += table.MappingCount();
     }
   }
   MemorySafetyObligations(const MemorySafetyObligations&) = delete;
@@ -1480,6 +1482,7 @@ class MemorySafetyObligations {
     ++mapped_;
     held_agree_ = held_agree_ && k_.vm().HoldsFrame(page);
     tally_agrees_ = tally_agrees_ && k_.alloc().MapCount(page) == CountOf(page);
+    tallied_ += CountOf(page);
   }
 
   InvResult Verdict() const {
@@ -1497,6 +1500,11 @@ class MemorySafetyObligations {
     }
     if (!tally_agrees_) {
       return InvResult::Fail("map count disagrees with mapping tally");
+    }
+    // Every mapping targets a mapped page: the tallies of the mapped pages
+    // add up to all mappings. (LocalWf's tally deltas start from it.)
+    if (tallied_ != mappings_) {
+      return InvResult::Fail("a mapping targets a page that is not mapped");
     }
     return InvResult{};
   }
@@ -1517,6 +1525,8 @@ class MemorySafetyObligations {
   std::size_t mapped_ = 0;
   bool held_agree_ = true;
   bool tally_agrees_ = true;
+  std::uint64_t mappings_ = 0;  // CPU + IOMMU mappings
+  std::uint64_t tallied_ = 0;   // of them, those that target a mapped page
 };
 
 }  // namespace
@@ -1582,8 +1592,398 @@ InvResult Kernel::TotalWf() const {
   return memory.Verdict();
 }
 
+namespace {
+
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+template <typename T>
+bool SortedContains(const std::vector<T>& v, const T& x) {
+  return std::binary_search(v.begin(), v.end(), x);
+}
+
+bool InUse(PageState state) {
+  return state == PageState::kAllocated || state == PageState::kMapped;
+}
+
+// A tally kept as deltas from the base. A spec map, so that under the
+// checker's ArenaScope it lives in its arena.
+using Deltas = SpecMap<std::uint64_t, std::int64_t>;
+
+void Add(Deltas* deltas, std::uint64_t key, std::int64_t delta) {
+  const std::int64_t* was = deltas->find(key);
+  deltas->set(key, (was != nullptr ? *was : 0) + delta);
+}
+
+std::int64_t DeltaOf(const Deltas& deltas, std::uint64_t key) {
+  const std::int64_t* delta = deltas.find(key);
+  return delta != nullptr ? *delta : 0;
+}
+
+// The objects whose per-object predicates LocalWf re-checks: the written
+// ones and every object a relation ties to one of them, at either end, in
+// the base state or now. A relation with no written end holds by Wf(base).
+ObjectScope LocalScope(const ProcessManager& pm, const AbstractKernel& base,
+                       const DirtySet& written) {
+  ObjectScope scope;
+  auto add = [](std::vector<std::uint64_t>* ids, std::uint64_t id) {
+    if (id != kNullPtr) {
+      ids->push_back(id);
+    }
+  };
+  auto add_all = [&add](std::vector<std::uint64_t>* ids, const auto& range) {
+    for (std::uint64_t id : range) {
+      add(ids, id);
+    }
+  };
+  for (CtnrPtr c : written.ctnrs) {
+    add(&scope.ctnrs, c);
+    if (const AbsContainer* was = base.containers.find(c)) {
+      // Its children, its subtree and its path (the tree clauses), and the
+      // processes and threads it owned (their slot and ghost-set clauses).
+      add(&scope.ctnrs, was->parent);
+      add_all(&scope.ctnrs, was->children);
+      add_all(&scope.ctnrs, was->subtree);
+      add_all(&scope.ctnrs, was->path);
+      add_all(&scope.procs, was->procs);
+      add_all(&scope.thrds, was->threads);
+    }
+    if (pm.ContainerExists(c)) {
+      const Container& now = pm.GetContainer(c);
+      add_all(&scope.ctnrs, now.subtree);
+      add_all(&scope.procs, now.owned_procs);
+      add_all(&scope.thrds, now.owned_threads);
+    } else {
+      // A dead container: endpoints it owned must not outlive it.
+      for (const auto& [e, perm] : pm.edpt_perms()) {
+        if (perm.value().owning_ctnr == c) {
+          add(&scope.edpts, e);
+        }
+      }
+    }
+  }
+  for (ProcPtr p : written.procs) {
+    add(&scope.procs, p);
+    if (const AbsProcess* was = base.procs.find(p)) {
+      add(&scope.procs, was->parent);
+      add_all(&scope.procs, was->children);
+      add(&scope.ctnrs, was->ctnr);
+      add_all(&scope.thrds, was->threads);
+    }
+    if (pm.ProcessExists(p)) {
+      const Process& now = pm.GetProcess(p);
+      add(&scope.procs, now.parent);
+      add_all(&scope.procs, now.children);
+      add(&scope.ctnrs, now.owning_container);
+      add_all(&scope.thrds, now.threads);
+    }
+  }
+  for (ThrdPtr t : written.thrds) {
+    add(&scope.thrds, t);
+    if (const AbsThread* was = base.threads.find(t)) {
+      add(&scope.procs, was->proc);
+      add(&scope.ctnrs, was->ctnr);
+      add_all(&scope.edpts, was->endpoints);
+      add(&scope.edpts, was->waiting_on);
+    }
+    if (pm.ThreadExists(t)) {
+      const Thread& now = pm.GetThread(t);
+      add(&scope.procs, now.owning_proc);
+      add(&scope.ctnrs, now.owning_ctnr);
+      add_all(&scope.edpts, now.endpoints);
+      add(&scope.edpts, now.waiting_on);
+    }
+  }
+  for (EdptPtr e : written.edpts) {
+    add(&scope.edpts, e);
+    if (const AbsEndpoint* was = base.endpoints.find(e)) {
+      add_all(&scope.thrds, was->queue);
+    }
+    if (pm.EndpointExists(e)) {
+      add_all(&scope.thrds, pm.GetEndpoint(e).queue);
+    }
+  }
+  if (written.scheduler) {
+    add_all(&scope.thrds, base.run_queue);
+    add_all(&scope.thrds, pm.run_queue());
+    add(&scope.thrds, base.current);
+    add(&scope.thrds, pm.current());
+  }
+  for (std::vector<std::uint64_t>* ids : {&scope.ctnrs, &scope.procs, &scope.thrds, &scope.edpts}) {
+    SortUnique(ids);
+  }
+  return scope;
+}
+
+}  // namespace
+
+InvResult Kernel::LocalWf(const AbstractKernel& base, const DirtySet& written,
+                          const PageAllocator::Writes& writes, std::uint64_t* entries) const {
+  // Process manager: per-object predicates over the scope, and relations
+  // from their scoped end; the scheduler clause reads the run queue.
+  const ObjectScope scope = LocalScope(pm_, base, written);
+  *entries += scope.ctnrs.size() + scope.procs.size() + scope.thrds.size() + scope.edpts.size();
+  InvResult r = ProcessManagerWf(pm_, &scope);
+  if (!r.ok) {
+    return r;
+  }
+  // Endpoint reference counts as deltas: a written thread moves the count
+  // of each endpoint its descriptor table gained or lost.
+  Deltas ref_delta;
+  auto count_refs = [&ref_delta](const auto& endpoints, std::int64_t sign) {
+    for (EdptPtr e : endpoints) {
+      if (e != kNullPtr) {
+        Add(&ref_delta, e, sign);
+      }
+    }
+  };
+  for (ThrdPtr t : written.thrds) {
+    if (const AbsThread* was = base.threads.find(t)) {
+      count_refs(was->endpoints, -1);
+    }
+    if (pm_.ThreadExists(t)) {
+      count_refs(pm_.GetThread(t).endpoints, +1);
+    }
+  }
+  for (EdptPtr e : scope.edpts) {
+    const AbsEndpoint* was = base.endpoints.find(e);
+    const std::uint64_t refs = (was != nullptr ? was->rf_count : 0) + DeltaOf(ref_delta, e);
+    if (pm_.EndpointExists(e) && pm_.GetEndpoint(e).rf_count != refs) {
+      return InvResult::Fail("rf_count of " + Hex(e) + " disagrees with descriptors");
+    }
+    if (!pm_.EndpointExists(e) && refs != 0) {
+      return InvResult::Fail("descriptor references freed endpoint " + Hex(e));
+    }
+  }
+
+  // Quota: each container's charged frames moved by the written frames'
+  // change of owner, size or in-use state; the quotas still sum to the boot
+  // reservation.
+  Deltas charged_delta;
+  for (const PageAllocator::FrameRecord& rec : writes.frames) {
+    const PagePtr page = rec.frame * kPageSize4K;
+    if (InUse(rec.before.state)) {
+      Add(&charged_delta, rec.before.owner,
+          -static_cast<std::int64_t>(PageFrames4K(rec.before.size)));
+    }
+    if (InUse(alloc_.StateOf(page))) {
+      Add(&charged_delta, alloc_.OwnerOf(page),
+          static_cast<std::int64_t>(PageFrames4K(alloc_.SizeClassOf(page))));
+    }
+  }
+  std::vector<CtnrPtr> charged = written.ctnrs;
+  for (const auto& [owner, delta] : charged_delta) {
+    charged.push_back(owner);
+  }
+  SortUnique(&charged);
+  std::int64_t quota_moved = 0;
+  for (CtnrPtr c : charged) {
+    ++*entries;
+    const AbsContainer* was = base.containers.find(c);
+    const std::uint64_t owned = (was != nullptr ? was->mem_used : 0) + DeltaOf(charged_delta, c);
+    if (pm_.ContainerExists(c)) {
+      const Container& now = pm_.GetContainer(c);
+      if (now.mem_used > now.mem_quota) {
+        return InvResult::Fail("container " + Hex(c) + " exceeds its memory quota");
+      }
+      if (owned != now.mem_used) {
+        return InvResult::Fail("container " + Hex(c) + " mem_used (" +
+                               std::to_string(now.mem_used) + ") != allocator attribution (" +
+                               std::to_string(owned) + ")");
+      }
+      quota_moved += static_cast<std::int64_t>(now.mem_quota);
+    } else if (c != kNullPtr && owned != 0) {
+      return InvResult::Fail("pages attributed to dead container " + Hex(c));
+    }
+    if (was != nullptr) {
+      quota_moved -= static_cast<std::int64_t>(was->mem_quota);
+    }
+  }
+  if (quota_moved != 0) {
+    return InvResult::Fail("total container quota differs from boot reservation");
+  }
+
+  if (const char* clause = alloc_.LocalWf(writes, entries)) {
+    return InvResult::Fail(std::string("page allocator ill-formed: ") + clause);
+  }
+
+  // Virtual memory: the written spaces' structure, and the borrow records
+  // with a written end or page. Their mapping changes are diffed against
+  // the base Ψ below.
+  for (ProcPtr p : written.spaces) {
+    if (vm_.HasAddressSpace(p)) {
+      *entries += vm_.TableOf(p).node_perms().size();
+      if (!vm_.TableOf(p).StructureWf(*mem_)) {
+        return InvResult::Fail("virtual-memory subsystem ill-formed");
+      }
+    }
+  }
+  for (const auto& [page, rec] : vm_.borrows()) {
+    if (SortedContains(written.spaces, rec.lender) ||
+        SortedContains(written.spaces, rec.borrower) ||
+        writes.Find(page / kPageSize4K) != nullptr) {
+      ++*entries;
+      if (!vm_.BorrowWf(page, rec, alloc_)) {
+        return InvResult::Fail("virtual-memory subsystem ill-formed");
+      }
+    }
+  }
+  for (IommuDomainId id : written.iommu_domains) {
+    auto it = iommu_.domains().find(id);
+    if (it != iommu_.domains().end() && !it->second.StructureWf(*mem_)) {
+      return InvResult::Fail("IOMMU subsystem ill-formed");
+    }
+  }
+  *entries += written.rings.size();
+  if (!rings_.LocalWf(written.rings)) {
+    return InvResult::Fail("syscall-ring table ill-formed");
+  }
+  // Page-table refinement for the written address spaces and domains.
+  for (ProcPtr p : written.spaces) {
+    if (!vm_.HasAddressSpace(p)) {
+      continue;
+    }
+    const PageTable& table = vm_.TableOf(p);
+    *entries += table.MappingCount();
+    RefinementReport flat = FlatRefinementCheck(table, *mem_);
+    if (!flat.ok) {
+      return InvResult::Fail("page-table refinement: " + flat.detail);
+    }
+    RefinementReport cross = MmuCrossCheck(table, mmu_);
+    if (!cross.ok) {
+      return InvResult::Fail("MMU cross-check: " + cross.detail);
+    }
+  }
+  for (IommuDomainId id : written.iommu_domains) {
+    auto it = iommu_.domains().find(id);
+    if (it == iommu_.domains().end()) {
+      continue;
+    }
+    *entries += it->second.MappingCount();
+    RefinementReport flat = FlatRefinementCheck(it->second, *mem_);
+    if (!flat.ok) {
+      return InvResult::Fail("IOMMU page-table refinement: " + flat.detail);
+    }
+  }
+
+  // Memory safety. The mapping tally moves by each written store's
+  // difference from the base Ψ.
+  Deltas tally_delta;
+  auto diff = [&](const SpecMap<VAddr, MapEntry>& was, const SpecMap<VAddr, MapEntry>& now) {
+    using Entry = SpecMap<VAddr, MapEntry>::Entry;
+    SpecMap<VAddr, MapEntry>::ForEachDifference(was, now, [&](const Entry* old_entry,
+                                                              const Entry* new_entry) {
+      ++*entries;
+      if (old_entry != nullptr) {
+        Add(&tally_delta, old_entry->second.addr, -1);
+      }
+      if (new_entry != nullptr) {
+        Add(&tally_delta, new_entry->second.addr, +1);
+      }
+      return true;
+    });
+  };
+  const SpecMap<VAddr, MapEntry> empty;
+  for (ProcPtr p : written.spaces) {
+    const SpecMap<VAddr, MapEntry>* was = base.address_spaces.find(p);
+    diff(was != nullptr ? *was : empty,
+         vm_.HasAddressSpace(p) ? vm_.TableOf(p).AddressSpace() : empty);
+  }
+  for (IommuDomainId id : written.iommu_domains) {
+    const AbsIommuDomain* was = base.iommu_domains.find(id);
+    auto it = iommu_.domains().find(id);
+    diff(was != nullptr ? was->mappings : empty,
+         it != iommu_.domains().end() ? it->second.AddressSpace() : empty);
+  }
+  // The frames whose closure membership, allocator state or tally may have
+  // moved: written frames, written objects' pages, written tables' nodes
+  // and mapping targets.
+  std::vector<PagePtr> frames;
+  for (const PageAllocator::FrameRecord& rec : writes.frames) {
+    frames.push_back(rec.frame * kPageSize4K);
+  }
+  for (const std::vector<std::uint64_t>* objects :
+       {&written.ctnrs, &written.procs, &written.thrds, &written.edpts}) {
+    frames.insert(frames.end(), objects->begin(), objects->end());
+  }
+  for (ProcPtr p : written.spaces) {
+    if (vm_.HasAddressSpace(p)) {
+      for (const auto& [node, perm] : vm_.TableOf(p).node_perms()) {
+        frames.push_back(node);
+      }
+    }
+  }
+  for (IommuDomainId id : written.iommu_domains) {
+    auto it = iommu_.domains().find(id);
+    if (it != iommu_.domains().end()) {
+      for (const auto& [node, perm] : it->second.node_perms()) {
+        frames.push_back(node);
+      }
+    }
+  }
+  for (const auto& [page, delta] : tally_delta) {
+    frames.push_back(page);
+  }
+  SortUnique(&frames);
+  bool disjoint = true;
+  bool closures_agree = true;
+  bool held_agree = true;
+  bool tally_agrees = true;
+  bool targets_mapped = true;
+  for (PagePtr page : frames) {
+    ++*entries;
+    auto holds_node = [page](const auto& id_and_table) {
+      return id_and_table.second.node_perms().count(page) != 0;
+    };
+    const std::int64_t closures =
+        (pm_.cntr_perms().contains(page) || pm_.proc_perms().contains(page) ||
+         pm_.thrd_perms().contains(page) || pm_.edpt_perms().contains(page)) +
+        std::count_if(vm_.tables().begin(), vm_.tables().end(), holds_node) +
+        std::count_if(iommu_.domains().begin(), iommu_.domains().end(), holds_node);
+    const PageState state = alloc_.StateOf(page);
+    const PageAllocator::FrameRecord* rec = writes.Find(page / kPageSize4K);
+    disjoint = disjoint && closures <= 1;
+    closures_agree = closures_agree && (closures == 1) == (state == PageState::kAllocated);
+    held_agree =
+        held_agree && (rec == nullptr || (state == PageState::kMapped) == vm_.HoldsFrame(page));
+    // By Wf(base), a mapped page's tally was its map count and any other
+    // page's was 0.
+    const bool was_mapped =
+        rec != nullptr ? rec->before.state == PageState::kMapped : state == PageState::kMapped;
+    const std::uint64_t was_count =
+        !was_mapped ? 0 : rec != nullptr ? rec->before.map_count : alloc_.MapCount(page);
+    const std::uint64_t count = was_count + DeltaOf(tally_delta, page);
+    if (state == PageState::kMapped) {
+      tally_agrees = tally_agrees && alloc_.MapCount(page) == count;
+    } else {
+      targets_mapped = targets_mapped && count == 0;
+    }
+  }
+  // The verdicts in MemorySafetyWf's order.
+  if (!disjoint) {
+    return InvResult::Fail("subsystem page closures overlap");
+  }
+  if (!closures_agree) {
+    return InvResult::Fail("page closures differ from the allocator's allocated set");
+  }
+  if (!held_agree) {
+    return InvResult::Fail("held frame permissions differ from the mapped set");
+  }
+  if (!tally_agrees) {
+    return InvResult::Fail("map count disagrees with mapping tally");
+  }
+  if (!targets_mapped) {
+    return InvResult::Fail("a mapping targets a page that is not mapped");
+  }
+  return InvResult{};
+}
+
 Kernel Kernel::CloneForVerification() const {
   Kernel out;
+  // averif-lint: allow(hot-path-alloc) — reached from ExecBatch only by the kRingDrainAtomic snapshot, an O(state) copy by design that only atomic rings take (TraceGen and tests)
   out.mem_ = std::make_unique<PhysMem>(mem_->CloneForVerification());
   out.mmu_ = Mmu(out.mem_.get());
   out.alloc_ = alloc_.CloneForVerification();

@@ -112,8 +112,10 @@ class Kernel {
   const char* AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* marks) const;
   // Drains every subsystem's mutation log into `out` (cleared first, its
   // capacity kept): the set of objects whose abstract view may differ from
-  // the last drained snapshot.
-  void DrainDirty(DirtySet* out);
+  // the last drained snapshot. The allocator's write records (the frame
+  // metadata, counters and list heads as they were before their first write
+  // since the last drain) are appended to `writes` unless it is null.
+  void DrainDirty(DirtySet* out, PageAllocator::Writes* writes = nullptr);
   // Incremental abstraction: patches `psi` (a faithful Ψ of the concrete
   // state as of the previous drain) in place at exactly the dirty entries,
   // making it Abstract() in O(|dirty| · log n) instead of O(machine). Falls
@@ -122,6 +124,18 @@ class Kernel {
   // total_wf(): conjunction of every subsystem invariant plus the global
   // memory-safety and leak-freedom arguments (§4.2).
   InvResult TotalWf() const;
+  // total_wf() by induction (DESIGN.md §8). Given that TotalWf() held in
+  // the state `base` abstracts (its frame components — `pages` and the
+  // free sets — are not read: `writes` holds the frames' base state), and
+  // that `written` (sorted, deduplicated)
+  // and `writes` (KeepOldest applied) hold everything written since, decides
+  // TotalWf() now from what was written and what it relates to: no clause
+  // reads every frame, free-list node or mapping. Adds the entries it reads
+  // (written frames and their neighbours, objects, mappings) to `*entries`.
+  // Writes behind every log (raw PTE stores, test peers) are TotalWf's and
+  // the audit's to find.
+  InvResult LocalWf(const AbstractKernel& base, const DirtySet& written,
+                    const PageAllocator::Writes& writes, std::uint64_t* entries) const;
   // Global memory argument alone: subsystem page closures are pairwise
   // disjoint and their union is exactly the allocator's allocated set;
   // mapped frames are exactly the VM subsystem's held frames.

@@ -26,7 +26,7 @@ namespace atmo {
 
 // The syscall table: one row per operation, in enumerator order.
 //
-//   X(op, "name", ring_submittable, returns_object, may_block, (frame profile))
+//   X(op, "name", ring_submittable, value, may_block, (frame profile))
 //
 //   op                the SysOp enumerator.
 //   "name"            SysOpName (spec-failure messages, bench keys); the
@@ -38,10 +38,16 @@ namespace atmo {
 //                     with the owner on the CPU); kExit and the kills (they
 //                     could remove the draining thread or the ring's owner
 //                     mid-batch); ring ops themselves (no nesting).
-//   returns_object    the return value is a fresh kernel address, whose value
-//                     depends on allocator placement — a channel the paper's
-//                     model excludes by construction (cf. Hyperkernel's
-//                     caller-chosen handles). The noninterference harness
+//   value             the class of a successful return's value (SysValue):
+//                     kZero, the range's page count, a fresh kernel object,
+//                     the obs record's size, the ring's SQ depth or the
+//                     drained batch's size. SyscallSpec checks the classes
+//                     that need no state (kZero, kPageCount, kRecordSize);
+//                     the op's own spec checks the rest. A kObject value is
+//                     a fresh kernel address, whose value depends on
+//                     allocator placement — a channel the paper's model
+//                     excludes by construction (cf. Hyperkernel's
+//                     caller-chosen handles), so the noninterference harness
 //                     compares such values as "created vs not created" only.
 //   may_block         the op may return kBlocked, parking the caller on an
 //                     endpoint: only kSend, kRecv and kCall. SyscallSpec
@@ -55,93 +61,103 @@ namespace atmo {
 // SyscallSpec; -Werror=switch and -Werror=switch-enum make a missing arm a
 // compile error.
 #define ATMO_SYSOPS(X)                                                                     \
-  X(kYield, "yield", false, false, false, (.threads = true, .scheduler = true))            \
-  /* map fresh pages into the caller's address space */                                   \
-  X(kMmap, "mmap", true, false, false,                                                     \
+  X(kYield, "yield", false, kZero, false, (.threads = true, .scheduler = true))            \
+  /* map fresh pages into the caller's address space */                                    \
+  X(kMmap, "mmap", true, kPageCount, false,                                                \
     (.containers = true, .address_spaces = true, .pages = true, .free_sets = true))        \
-  /* remove mappings from the caller's address space */                                   \
-  X(kMunmap, "munmap", true, false, false,                                                 \
+  /* remove mappings from the caller's address space */                                    \
+  X(kMunmap, "munmap", true, kPageCount, false,                                            \
     (.containers = true, .address_spaces = true, .pages = true, .free_sets = true))        \
-  /* child container of the caller's container */                                         \
-  X(kNewContainer, "new_container", true, true, false,                                     \
+  /* child container of the caller's container */                                          \
+  X(kNewContainer, "new_container", true, kObject, false,                                  \
     (.containers = true, .pages = true, .free_sets = true))                                \
-  /* child process of the caller's process */                                             \
-  X(kNewProcess, "new_process", true, true, false,                                         \
+  /* child process of the caller's process */                                              \
+  X(kNewProcess, "new_process", true, kObject, false,                                      \
     (.containers = true, .procs = true, .address_spaces = true, .pages = true,             \
      .free_sets = true))                                                                   \
-  /* thread in the caller's (or a same-container) process */                              \
-  X(kNewThread, "new_thread", true, true, false,                                           \
+  /* thread in the caller's (or a same-container) process */                               \
+  X(kNewThread, "new_thread", true, kObject, false,                                        \
     (.threads = true, .containers = true, .procs = true, .pages = true,                    \
      .free_sets = true, .scheduler = true))                                                \
-  /* endpoint bound to a caller descriptor slot */                                        \
-  X(kNewEndpoint, "new_endpoint", true, true, false,                                       \
+  /* endpoint bound to a caller descriptor slot */                                         \
+  X(kNewEndpoint, "new_endpoint", true, kObject, false,                                    \
     (.threads = true, .containers = true, .endpoints = true, .pages = true,                \
      .free_sets = true))                                                                   \
-  /* drop a caller descriptor (frees the endpoint at zero) */                             \
-  X(kUnbindEndpoint, "unbind_endpoint", true, false, false,                                \
+  /* drop a caller descriptor (frees the endpoint at zero) */                              \
+  X(kUnbindEndpoint, "unbind_endpoint", true, kZero, false,                                \
     (.threads = true, .containers = true, .endpoints = true, .pages = true,                \
      .free_sets = true))                                                                   \
-  /* Rendezvous IPC: send (blocks if no receiver), receive (blocks if no                  \
-     sender), send then block for the reply, reply to the thread that called us. */       \
-  X(kSend, "send", false, false, true, ATMO_FRAME_IPC)                                     \
-  X(kRecv, "recv", false, false, true, ATMO_FRAME_IPC)                                     \
-  X(kCall, "call", false, false, true, ATMO_FRAME_IPC)                                     \
-  X(kReply, "reply", false, false, false, ATMO_FRAME_IPC)                                  \
-  /* terminate the calling thread */                                                      \
-  X(kExit, "exit", false, false, false,                                                    \
+  /* Rendezvous IPC: send (blocks if no receiver), receive (blocks if no                   \
+     sender), send then block for the reply, reply to the thread that called us. */        \
+  X(kSend, "send", false, kZero, true, ATMO_FRAME_IPC)                                     \
+  X(kRecv, "recv", false, kZero, true, ATMO_FRAME_IPC)                                     \
+  X(kCall, "call", false, kZero, true, ATMO_FRAME_IPC)                                     \
+  X(kReply, "reply", false, kZero, false, ATMO_FRAME_IPC)                                  \
+  /* terminate the calling thread */                                                       \
+  X(kExit, "exit", false, kZero, false,                                                    \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .pages = true, .free_sets = true, .scheduler = true))                                 \
-  /* terminate a descendant process subtree */                                            \
-  X(kKillProcess, "kill_process", false, false, false,                                     \
+  /* terminate a descendant process subtree */                                             \
+  X(kKillProcess, "kill_process", false, kZero, false,                                     \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .address_spaces = true, .pages = true, .free_sets = true, .scheduler = true))         \
-  /* terminate a descendant container subtree, harvest */                                 \
-  X(kKillContainer, "kill_container", false, false, false,                                 \
+  /* terminate a descendant container subtree, harvest */                                  \
+  X(kKillContainer, "kill_container", false, kZero, false,                                 \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,              \
      .scheduler = true))                                                                   \
-  X(kIommuCreateDomain, "iommu_create_domain", true, true, false,                          \
+  X(kIommuCreateDomain, "iommu_create_domain", true, kObject, false,                       \
     (.containers = true, .pages = true, .free_sets = true, .iommu = true))                 \
-  X(kIommuAttachDevice, "iommu_attach_device", true, false, false, (.iommu = true))        \
-  X(kIommuDetachDevice, "iommu_detach_device", true, false, false, (.iommu = true))        \
-  X(kIommuMapDma, "iommu_map_dma", true, false, false,                                     \
+  X(kIommuAttachDevice, "iommu_attach_device", true, kZero, false, (.iommu = true))        \
+  X(kIommuDetachDevice, "iommu_detach_device", true, kZero, false, (.iommu = true))        \
+  X(kIommuMapDma, "iommu_map_dma", true, kZero, false,                                     \
     (.containers = true, .pages = true, .free_sets = true, .iommu = true))                 \
-  X(kIommuUnmapDma, "iommu_unmap_dma", true, false, false,                                 \
+  X(kIommuUnmapDma, "iommu_unmap_dma", true, kZero, false,                                 \
     (.containers = true, .pages = true, .free_sets = true, .iommu = true))                 \
-  /* Create a submission/completion ring owned by the caller. The fresh ring             \
-     id is global-counter shaped, so it counts as an object pointer. */                   \
-  X(kRingSetup, "ring_setup", false, true, false, (.rings = true))                         \
-  /* enqueue one deferred syscall onto a ring's SQ */                                     \
-  X(kRingSubmit, "ring_submit", false, false, false, (.rings = true))                      \
-  /* Drain the SQ: execute entries back-to-back, fill the CQ. One checked                 \
-     transition covers a whole drained batch, so the profile is the union of             \
-     every submittable op's profile (everything but the scheduler-only bits              \
-     kNewThread already brings in) plus the ring itself. This width is the               \
-     amortization tradeoff: per-entry tightness is recovered by the                      \
-     differential oracle (tests/ring_batch_differential_test.cc). */                      \
-  X(kRingEnter, "ring_enter", false, false, false,                                         \
+  /* Create a submission/completion ring owned by the caller. The fresh ring               \
+     id is global-counter shaped, so it counts as an object pointer. */                    \
+  X(kRingSetup, "ring_setup", false, kObject, false, (.rings = true))                      \
+  /* enqueue one deferred syscall onto a ring's SQ */                                      \
+  X(kRingSubmit, "ring_submit", false, kSqDepth, false, (.rings = true))                   \
+  /* Drain the SQ: execute entries back-to-back, fill the CQ. One checked                  \
+     transition covers a whole drained batch, so the profile is the union of               \
+     every submittable op's profile (everything but the scheduler-only bits                \
+     kNewThread already brings in) plus the ring itself. This width is the                 \
+     amortization tradeoff: per-entry tightness is recovered by the                        \
+     differential oracle (tests/ring_batch_differential_test.cc). */                       \
+  X(kRingEnter, "ring_enter", false, kBatchCount, false,                                   \
     (.threads = true, .containers = true, .procs = true, .endpoints = true,                \
      .address_spaces = true, .pages = true, .free_sets = true, .iommu = true,              \
      .rings = true, .scheduler = true))                                                    \
-  /* Return a borrowed page (va_range.base = borrower VA): borrower unmap +               \
-     lender rights restore, i.e. two address spaces and the page's borrow                 \
-     relabeling. The lender still maps the frame, so the return can never                \
-     release it — no container charge or free-set edge. */                               \
-  X(kGrantReturn, "grant_return", true, false, false,                                      \
+  /* Return a borrowed page (va_range.base = borrower VA): borrower unmap +                \
+     lender rights restore, i.e. two address spaces and the page's borrow                  \
+     relabeling. The lender still maps the frame, so the return can never                  \
+     release it — no container charge or free-set edge. */                                 \
+  X(kGrantReturn, "grant_return", true, kZero, false,                                      \
     (.address_spaces = true, .pages = true))                                               \
-  /* Snapshot the caller's obs counters into a writable page (va_range.base =             \
-     destination VA, must be a mapping base). Not submittable: a deferred                 \
-     query would report counters as of an unpredictable drain point, which                \
-     defeats its purpose and would entangle the ring spec with observability              \
-     state. Returns sizeof(ObsQueryRecord), a constant. Its profile is the                \
-     tightest in the table: the snapshot lands in page byte contents, which Ψ             \
-     does not model, so at abstract level the syscall touches nothing at all. */         \
-  X(kObsQuery, "obs_query", false, false, false, ())
+  /* Snapshot the caller's obs counters into a writable page (va_range.base =              \
+     destination VA, must be a mapping base). Not submittable: a deferred                  \
+     query would report counters as of an unpredictable drain point, which                 \
+     defeats its purpose and would entangle the ring spec with observability               \
+     state. Returns sizeof(ObsQueryRecord), a constant. Its profile is the                 \
+     tightest in the table: the snapshot lands in page byte contents, which Ψ              \
+     does not model, so at abstract level the syscall touches nothing at all. */           \
+  X(kObsQuery, "obs_query", false, kRecordSize, false, ())
 
 enum class SysOp : std::uint8_t {
 #define ATMO_SYSOP_ENUMERATOR(op, ...) op,
   ATMO_SYSOPS(ATMO_SYSOP_ENUMERATOR)
 #undef ATMO_SYSOP_ENUMERATOR
+};
+
+// The class of a successful return's value: the table's `value` column.
+enum class SysValue : std::uint8_t {
+  kZero,        // 0
+  kPageCount,   // call.va_range.count, the pages (un)mapped
+  kObject,      // a fresh kernel object pointer or id
+  kRecordSize,  // sizeof(ObsQueryRecord)
+  kSqDepth,     // the ring's SQ depth after the push (RingSubmitSpec)
+  kBatchCount,  // the entries the drain executed (RingEnterSpec)
 };
 
 // The table's data columns; FrameProfileFor (src/spec/frame_profile.h) is the
@@ -150,13 +166,13 @@ struct SysOpRow {
   const char* name;
   const char* trace_label;
   bool ring_submittable;
-  bool returns_object;
+  SysValue value;
   bool may_block;
 };
 
 inline constexpr SysOpRow kSysOpRows[] = {
-#define ATMO_SYSOP_ROW(op, name, ring_submittable, returns_object, may_block, frame) \
-  {name, "sys." name, ring_submittable, returns_object, may_block},
+#define ATMO_SYSOP_ROW(op, name, ring_submittable, value, may_block, frame) \
+  {name, "sys." name, ring_submittable, SysValue::value, may_block},
     ATMO_SYSOPS(ATMO_SYSOP_ROW)
 #undef ATMO_SYSOP_ROW
 };
@@ -165,7 +181,7 @@ inline constexpr std::size_t kSysOpCount = std::size(kSysOpRows);
 
 // The answers for a value outside the enumeration: the op arrives in a
 // register, so a hostile caller can name any byte.
-inline constexpr SysOpRow kUnknownSysOpRow = {"?", "sys.unknown", false, false, false};
+inline constexpr SysOpRow kUnknownSysOpRow = {"?", "sys.unknown", false, SysValue::kZero, false};
 
 constexpr const SysOpRow& SysOpRowOf(SysOp op) {
   auto index = static_cast<std::size_t>(op);
@@ -181,7 +197,9 @@ constexpr const char* SysOpTraceLabel(SysOp op) { return SysOpRowOf(op).trace_la
 
 constexpr bool RingSubmittable(SysOp op) { return SysOpRowOf(op).ring_submittable; }
 
-constexpr bool ReturnsObjectPointer(SysOp op) { return SysOpRowOf(op).returns_object; }
+constexpr SysValue ReturnValueClass(SysOp op) { return SysOpRowOf(op).value; }
+
+constexpr bool ReturnsObjectPointer(SysOp op) { return ReturnValueClass(op) == SysValue::kObject; }
 
 constexpr bool MayBlock(SysOp op) { return SysOpRowOf(op).may_block; }
 

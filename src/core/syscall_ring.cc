@@ -76,29 +76,48 @@ bool SyscallRingTable::CqPop(std::uint64_t id, RingCqEntry* out) {
   return ring->CqPop(out);
 }
 
-bool SyscallRingTable::Wf() const {
-  std::uint64_t max_id = 0;
-  for (const auto& [id, ring] : rings_) {
-    if (id == 0 || id >= next_id_) {
-      return false;  // id 0 is the setup-failure sentinel; ids never exceed the counter
-    }
-    max_id = id > max_id ? id : max_id;
-    if (!RingCapacityValid(ring.capacity())) {
+namespace {
+
+bool RingWf(const SyscallRing& ring) {
+  if (!RingCapacityValid(ring.capacity())) {
+    return false;
+  }
+  if (ring.SqSize() > ring.capacity() || ring.CqSize() > ring.capacity()) {
+    return false;
+  }
+  // Every queued entry must still be a submittable inner op with its ring
+  // fields cleared — exactly what RingInnerCall produces at submit time.
+  for (std::size_t i = 0; i < ring.SqSize(); ++i) {
+    const Syscall& call = ring.SqAt(i).call;
+    if (!RingSubmittable(call.op) || call.ring_id != 0 || call.ring_budget != 0) {
       return false;
-    }
-    if (ring.SqSize() > ring.capacity() || ring.CqSize() > ring.capacity()) {
-      return false;
-    }
-    // Every queued entry must still be a submittable inner op with its ring
-    // fields cleared — exactly what RingInnerCall produces at submit time.
-    for (std::size_t i = 0; i < ring.SqSize(); ++i) {
-      const Syscall& call = ring.SqAt(i).call;
-      if (!RingSubmittable(call.op) || call.ring_id != 0 || call.ring_budget != 0) {
-        return false;
-      }
     }
   }
-  return rings_.size() <= kCapacity && max_id < next_id_;
+  return true;
+}
+
+}  // namespace
+
+bool SyscallRingTable::Wf() const {
+  for (const auto& [id, ring] : rings_) {
+    if (!RingWf(ring)) {
+      return false;
+    }
+  }
+  return LocalWf({});
+}
+
+bool SyscallRingTable::LocalWf(const std::vector<std::uint64_t>& ids) const {
+  for (std::uint64_t id : ids) {
+    auto it = rings_.find(id);
+    if (it != rings_.end() && !RingWf(it->second)) {
+      return false;
+    }
+  }
+  // Id 0 is the setup-failure sentinel, and ids never reach the counter.
+  const std::uint64_t max_id = rings_.empty() ? 0 : rings_.rbegin()->first;
+  return rings_.size() <= kCapacity && (rings_.empty() || rings_.begin()->first != 0) &&
+         max_id < next_id_;
 }
 
 SyscallRingTable SyscallRingTable::CloneForVerification() const {

@@ -183,6 +183,9 @@ class SyscallRingTable {
   bool CqPop(std::uint64_t id, RingCqEntry* out);
 
   bool Wf() const;
+  // Wf() for the rings `ids` names (sorted; absent ids skipped) and the
+  // table-wide bounds, which read only the smallest and largest id.
+  bool LocalWf(const std::vector<std::uint64_t>& ids) const;
 
   void DrainDirtyInto(std::vector<std::uint64_t>* out, bool* overflow_out) {
     dirty_.DrainInto(out, overflow_out);

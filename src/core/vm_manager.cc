@@ -258,28 +258,32 @@ bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
       }
     }
   }
-  // Every borrow record matches two live read-only mappings of its page:
-  // the lender's downgraded entry and the borrower's view. Unmap drops or
-  // revokes records, so a dangling record is a discipline violation.
   for (const auto& [page, rec] : borrows_) {
-    if (alloc.StateOf(page) != PageState::kMapped) {
-      return false;
-    }
-    const PageTable* lender = FindTable(rec.lender);
-    const PageTable* borrower = FindTable(rec.borrower);
-    if (lender == nullptr || borrower == nullptr) {
-      return false;
-    }
-    std::optional<MapEntry> le = lender->Resolve(rec.lender_va);
-    std::optional<MapEntry> be = borrower->Resolve(rec.borrower_va);
-    if (!le.has_value() || le->addr != page || le->size != rec.size || le->perm.writable) {
-      return false;
-    }
-    if (!be.has_value() || be->addr != page || be->size != rec.size || be->perm.writable) {
+    if (!BorrowWf(page, rec, alloc)) {
       return false;
     }
   }
   return true;
+}
+
+bool VmManager::BorrowWf(PagePtr page, const BorrowRecord& rec, const PageAllocator& alloc) const {
+  // A borrow record matches two live read-only mappings of its page: the
+  // lender's downgraded entry and the borrower's view. Unmap drops or
+  // revokes records, so a dangling record is a discipline violation.
+  if (alloc.StateOf(page) != PageState::kMapped) {
+    return false;
+  }
+  const PageTable* lender = FindTable(rec.lender);
+  const PageTable* borrower = FindTable(rec.borrower);
+  if (lender == nullptr || borrower == nullptr) {
+    return false;
+  }
+  std::optional<MapEntry> le = lender->Resolve(rec.lender_va);
+  std::optional<MapEntry> be = borrower->Resolve(rec.borrower_va);
+  if (!le.has_value() || le->addr != page || le->size != rec.size || le->perm.writable) {
+    return false;
+  }
+  return be.has_value() && be->addr == page && be->size == rec.size && !be->perm.writable;
 }
 
 VmManager VmManager::CloneForVerification(PhysMem* mem) const {

@@ -132,6 +132,8 @@ class VmManager {
   // frames == mapped pages and exact map counts (CPU + IOMMU references)
   // are global: Kernel::MemorySafetyWf.
   bool Wf(const PhysMem& mem, const PageAllocator& alloc) const;
+  // Wf()'s clause for one borrow record.
+  bool BorrowWf(PagePtr page, const BorrowRecord& rec, const PageAllocator& alloc) const;
 
   const std::map<ProcPtr, PageTable>& tables() const { return tables_; }
 

@@ -12,6 +12,7 @@ PhysMem::PhysMem(std::uint64_t frames) : frame_count_(frames), frames_(frames) {
 PhysMem::FrameData& PhysMem::Touch(std::uint64_t frame) {
   ATMO_CHECK(frame < frame_count_, "PhysMem frame out of range");
   if (!frames_[frame]) {
+    // averif-lint: allow(hot-path-alloc) — a frame's bytes are allocated at its first touch, once per frame for the machine's life
     frames_[frame] = std::make_unique<FrameData>();
     frames_[frame]->fill(0);
   }
@@ -66,6 +67,7 @@ PhysMem PhysMem::CloneForVerification() const {
   PhysMem out(frame_count_);
   for (std::uint64_t frame = 0; frame < frame_count_; ++frame) {
     if (frames_[frame]) {
+      // averif-lint: allow(hot-path-alloc) — reached from ExecBatch only by the kRingDrainAtomic snapshot, an O(state) copy by design that only atomic rings take (TraceGen and tests)
       out.frames_[frame] = std::make_unique<FrameData>(*frames_[frame]);
     }
   }

@@ -61,14 +61,170 @@ PageAllocator::PageAllocator(std::uint64_t total_frames, std::uint64_t reserved_
       free_in_2m_((total_frames + kFramesPer2M - 1) / kFramesPer2M, 0),
       free_eq_1g_((total_frames + kFramesPer1G - 1) / kFramesPer1G, 0),
       in_mergeable_2m_(free_in_2m_.size(), 0),
-      in_mergeable_1g_(free_eq_1g_.size(), 0) {
+      in_mergeable_1g_(free_eq_1g_.size(), 0),
+      group_recorded_(free_in_2m_.size(), 0),
+      region_recorded_(free_eq_1g_.size(), 0) {
   ATMO_CHECK(reserved_frames >= 1, "frame 0 (null pointer) must be reserved");
   ATMO_CHECK(reserved_frames <= total_frames, "reserved frames exceed total frames");
+  // The write log starts off (as if overflowed) and turns on at the first
+  // drain, which reports the overflow: an allocator that nothing drains
+  // records nothing, and a checker's first capture rebuilds Ψ and its first
+  // Wf check is a whole TotalWf anyway.
+  writes_.overflow = true;
   // All managed frames boot as free 4 KiB pages. Push back-to-front so the
   // list pops low addresses first (deterministic allocation order).
   for (std::uint64_t frame = total_frames; frame-- > reserved_frames;) {
     PushFree(frame, PageSize::k4K);
   }
+}
+
+void PageAllocator::Writes::Clear() {
+  frames.clear();
+  groups.clear();
+  regions.clear();
+  lists.clear();
+  overflow = false;
+}
+
+namespace {
+
+template <typename Record>
+void AppendRecords(std::vector<Record>* to, const std::vector<Record>& from) {
+  // averif-lint: allow(hot-path-alloc) — the checker's write set keeps its capacity between Wf checks, so it grows only past its high-water mark
+  to->insert(to->end(), from.begin(), from.end());
+}
+
+template <typename Record, typename Key>
+void KeepFirstPerKey(std::vector<Record>* records, Key key) {
+  std::stable_sort(records->begin(), records->end(),
+                   [&](const Record& a, const Record& b) { return key(a) < key(b); });
+  records->erase(std::unique(records->begin(), records->end(),
+                             [&](const Record& a, const Record& b) { return key(a) == key(b); }),
+                 records->end());
+}
+
+template <typename Record, typename Key, typename K>
+const Record* FindRecord(const std::vector<Record>& records, Key key, K k) {
+  auto it = std::lower_bound(records.begin(), records.end(), k,
+                             [&](const Record& r, K v) { return key(r) < v; });
+  return it != records.end() && key(*it) == k ? &*it : nullptr;
+}
+
+constexpr auto kFrameKey = [](const PageAllocator::FrameRecord& r) { return r.frame; };
+constexpr auto kCounterKey = [](const PageAllocator::CounterRecord& r) { return r.index; };
+constexpr auto kListKey = [](const PageAllocator::ListRecord& r) {
+  return static_cast<int>(r.size);
+};
+
+}  // namespace
+
+void PageAllocator::Writes::Append(const Writes& later) {
+  AppendRecords(&frames, later.frames);
+  AppendRecords(&groups, later.groups);
+  AppendRecords(&regions, later.regions);
+  AppendRecords(&lists, later.lists);
+  overflow = overflow || later.overflow;
+}
+
+void PageAllocator::Writes::KeepOldest() {
+  KeepFirstPerKey(&frames, kFrameKey);
+  KeepFirstPerKey(&groups, kCounterKey);
+  KeepFirstPerKey(&regions, kCounterKey);
+  KeepFirstPerKey(&lists, kListKey);
+}
+
+const PageAllocator::FrameRecord* PageAllocator::Writes::Find(std::uint64_t frame) const {
+  return FindRecord(frames, kFrameKey, frame);
+}
+
+template <typename Record>
+bool PageAllocator::Log(std::vector<Record>* records, const Record& record) {
+  if (writes_.Size() >= kWriteLogCap) {
+    OverflowWrites();
+    return false;
+  }
+  // averif-lint: allow(hot-path-alloc) — the write log keeps its capacity across drains; it grows only past the records-per-drain high-water mark
+  records->push_back(record);
+  return true;
+}
+
+PageAllocator::PageMeta& PageAllocator::Write(std::uint64_t frame) {
+  PageMeta& meta = meta_[frame];
+  if (!meta.recorded && !writes_.overflow && Log(&writes_.frames, FrameRecord{frame, meta})) {
+    meta.recorded = true;
+  }
+  return meta;
+}
+
+PageAllocator::FreeList& PageAllocator::WriteList(PageSize size) {
+  FreeList& list = ListFor(size);
+  std::uint8_t& recorded = list_recorded_[static_cast<int>(size)];
+  if (!recorded && !writes_.overflow && Log(&writes_.lists, ListRecord{size, list})) {
+    recorded = 1;
+  }
+  return list;
+}
+
+void PageAllocator::RecordGroup(std::uint64_t group) {
+  if (!group_recorded_[group] && !writes_.overflow &&
+      Log(&writes_.groups, CounterRecord{group, free_in_2m_[group]})) {
+    group_recorded_[group] = 1;
+  }
+}
+
+void PageAllocator::RecordRegion(std::uint64_t region) {
+  if (!region_recorded_[region] && !writes_.overflow &&
+      Log(&writes_.regions, CounterRecord{region, free_eq_1g_[region]})) {
+    region_recorded_[region] = 1;
+  }
+}
+
+void PageAllocator::ClearMarks() {
+  for (const FrameRecord& r : writes_.frames) {
+    meta_[r.frame].recorded = false;
+  }
+  for (const CounterRecord& r : writes_.groups) {
+    group_recorded_[r.index] = 0;
+  }
+  for (const CounterRecord& r : writes_.regions) {
+    region_recorded_[r.index] = 0;
+  }
+  std::fill(std::begin(list_recorded_), std::end(list_recorded_), 0);
+}
+
+void PageAllocator::OverflowWrites() {
+  ClearMarks();
+  writes_ = Writes{};  // releases the capacity too
+  writes_.overflow = true;
+}
+
+void PageAllocator::DrainWrites(std::vector<PagePtr>* pages, bool* overflow, Writes* writes) {
+  if (writes_.Size() == 0 && !writes_.overflow) {
+    return;  // nothing written since the last drain
+  }
+  if (writes_.overflow) {
+    *overflow = true;
+  }
+  for (const FrameRecord& r : writes_.frames) {
+    // A frame that stayed free at its size, merged or unavailable has the
+    // abstract view it had (a free page is never borrowed): its write was
+    // to links or a merged head, which LocalWf reads from the record.
+    const PageMeta& meta = meta_[r.frame];
+    const bool same_view = meta.state == r.before.state &&
+                           (meta.state == PageState::kMerged ||
+                            meta.state == PageState::kUnavailable ||
+                            (meta.state == PageState::kFree && meta.size == r.before.size));
+    if (!same_view) {
+      // averif-lint: allow(hot-path-alloc) — the caller's vector keeps its capacity across drains (DirtySet::Clear), so it grows only past the dirty-entry high-water mark
+      pages->push_back(PtrOf(r.frame));
+    }
+  }
+  std::sort(pages->begin(), pages->end());
+  ClearMarks();
+  if (writes != nullptr) {
+    writes->Append(writes_);
+  }
+  writes_.Clear();
 }
 
 std::uint64_t PageAllocator::FrameOf(PagePtr ptr) const {
@@ -95,9 +251,8 @@ const PageAllocator::FreeList& PageAllocator::ListFor(PageSize size) const {
 }
 
 void PageAllocator::PushFree(std::uint64_t frame, PageSize size) {
-  dirty_.Mark(PtrOf(frame));
-  FreeList& list = ListFor(size);
-  PageMeta& meta = meta_[frame];
+  FreeList& list = WriteList(size);
+  PageMeta& meta = Write(frame);
   meta.state = PageState::kFree;
   meta.size = size;
   meta.owner = kNullPtr;
@@ -106,7 +261,7 @@ void PageAllocator::PushFree(std::uint64_t frame, PageSize size) {
   meta.prev = kNilFrame;
   meta.next = list.head;
   if (list.head != kNilFrame) {
-    meta_[list.head].prev = frame;
+    Write(list.head).prev = frame;
   }
   list.head = frame;
   ++list.count;
@@ -118,8 +273,10 @@ void PageAllocator::NoteFreed(std::uint64_t frame, PageSize size) {
     return;  // a whole free 1G page needs no coalescing
   }
   std::uint64_t region = frame / kFramesPer1G;
+  RecordRegion(region);
   if (size == PageSize::k4K) {
     std::uint64_t group = frame / kFramesPer2M;
+    RecordGroup(group);
     if (++free_in_2m_[group] == kFramesPer2M && !in_mergeable_2m_[group]) {
       in_mergeable_2m_[group] = 1;
       // averif-lint: allow(hot-path-alloc) — mergeable-group heap grows only when a 2M group first becomes fully free; vector capacity is retained
@@ -143,8 +300,10 @@ void PageAllocator::NoteUnfreed(std::uint64_t frame, PageSize size) {
     return;
   }
   std::uint64_t region = frame / kFramesPer1G;
+  RecordRegion(region);
   if (size == PageSize::k4K) {
     std::uint64_t group = frame / kFramesPer2M;
+    RecordGroup(group);
     ATMO_CHECK(free_in_2m_[group] > 0, "2M group free counter underflow");
     --free_in_2m_[group];
     ATMO_CHECK(free_eq_1g_[region] >= 1, "1G region free counter underflow");
@@ -156,18 +315,17 @@ void PageAllocator::NoteUnfreed(std::uint64_t frame, PageSize size) {
 }
 
 void PageAllocator::UnlinkFree(std::uint64_t frame) {
-  dirty_.Mark(PtrOf(frame));
-  PageMeta& meta = meta_[frame];
+  PageMeta& meta = Write(frame);
   ATMO_CHECK(meta.state == PageState::kFree, "UnlinkFree on non-free page");
-  FreeList& list = ListFor(meta.size);
+  FreeList& list = WriteList(meta.size);
   if (meta.prev != kNilFrame) {
-    meta_[meta.prev].next = meta.next;
+    Write(meta.prev).next = meta.next;
   } else {
     ATMO_CHECK(list.head == frame, "free-list head corruption");
     list.head = meta.next;
   }
   if (meta.next != kNilFrame) {
-    meta_[meta.next].prev = meta.prev;
+    Write(meta.next).prev = meta.prev;
   }
   meta.prev = kNilFrame;
   meta.next = kNilFrame;
@@ -191,7 +349,7 @@ std::optional<PageAlloc> PageAllocator::AllocFrom(PageSize size, CtnrPtr owner) 
   if (!frame.has_value()) {
     return std::nullopt;
   }
-  PageMeta& meta = meta_[*frame];
+  PageMeta& meta = Write(*frame);
   meta.state = PageState::kAllocated;
   meta.size = size;
   meta.owner = owner;
@@ -204,6 +362,7 @@ std::optional<PagePtr> PageAllocator::Coalesce2MIndexed() {
     std::pop_heap(mergeable_2m_.begin(), mergeable_2m_.end(), std::greater<>());
     std::uint64_t group = mergeable_2m_.back();
     mergeable_2m_.pop_back();
+    RecordGroup(group);
     in_mergeable_2m_[group] = 0;
     if (free_in_2m_[group] != kFramesPer2M) {
       continue;  // stale: the group lost a frame since it was flagged
@@ -221,6 +380,7 @@ std::optional<PagePtr> PageAllocator::Coalesce1GIndexed() {
     std::pop_heap(mergeable_1g_.begin(), mergeable_1g_.end(), std::greater<>());
     std::uint64_t region = mergeable_1g_.back();
     mergeable_1g_.pop_back();
+    RecordRegion(region);
     in_mergeable_1g_[region] = 0;
     if (free_eq_1g_[region] != kFramesPer1G) {
       continue;  // stale
@@ -303,7 +463,7 @@ std::optional<PageAlloc> PageAllocator::AllocPage(PageSize size, CtnrPtr owner) 
 
 void PageAllocator::FreePage(PagePtr ptr, FramePerm perm) {
   std::uint64_t frame = FrameOf(ptr);
-  PageMeta& meta = meta_[frame];
+  const PageMeta& meta = meta_[frame];
   ATMO_CHECK(meta.state == PageState::kAllocated, "FreePage on page not in allocated state");
   ATMO_CHECK(perm.base() == ptr, "FreePage permission for a different page");
   ATMO_CHECK(perm.size() == meta.size, "FreePage permission of wrong size class");
@@ -313,31 +473,28 @@ void PageAllocator::FreePage(PagePtr ptr, FramePerm perm) {
 }
 
 void PageAllocator::MarkMapped(PagePtr ptr) {
-  PageMeta& meta = meta_[FrameOf(ptr)];
+  PageMeta& meta = Write(FrameOf(ptr));
   ATMO_CHECK(meta.state == PageState::kAllocated, "MarkMapped on page not in allocated state");
-  dirty_.Mark(ptr);
   meta.state = PageState::kMapped;
   meta.map_count = 1;
 }
 
 std::uint32_t PageAllocator::IncMapCount(PagePtr ptr) {
-  PageMeta& meta = meta_[FrameOf(ptr)];
+  PageMeta& meta = Write(FrameOf(ptr));
   ATMO_CHECK(meta.state == PageState::kMapped, "IncMapCount on unmapped page");
-  dirty_.Mark(ptr);
   return ++meta.map_count;
 }
 
 std::uint32_t PageAllocator::DecMapCount(PagePtr ptr) {
-  PageMeta& meta = meta_[FrameOf(ptr)];
+  PageMeta& meta = Write(FrameOf(ptr));
   ATMO_CHECK(meta.state == PageState::kMapped, "DecMapCount on unmapped page");
   ATMO_CHECK(meta.map_count > 0, "map count underflow");
-  dirty_.Mark(ptr);
   return --meta.map_count;
 }
 
 void PageAllocator::ReclaimUnmapped(PagePtr ptr, FramePerm perm) {
   std::uint64_t frame = FrameOf(ptr);
-  PageMeta& meta = meta_[frame];
+  const PageMeta& meta = meta_[frame];
   ATMO_CHECK(meta.state == PageState::kMapped && meta.map_count == 0,
              "ReclaimUnmapped on page that is still mapped");
   ATMO_CHECK(perm.base() == ptr && perm.size() == meta.size,
@@ -367,7 +524,7 @@ bool PageAllocator::TryMerge2M(PagePtr base) {
     UnlinkFree(head + i);
   }
   for (std::uint64_t i = 1; i < kFramesPer2M; ++i) {
-    PageMeta& meta = meta_[head + i];
+    PageMeta& meta = Write(head + i);
     meta.state = PageState::kMerged;
     meta.merged_head = head;
   }
@@ -390,7 +547,7 @@ bool PageAllocator::TryMerge1G(PagePtr base) {
     UnlinkFree(head + unit);
   }
   for (std::uint64_t i = 1; i < kFramesPer1G; ++i) {
-    PageMeta& meta = meta_[head + i];
+    PageMeta& meta = Write(head + i);
     meta.state = PageState::kMerged;
     meta.merged_head = head;
   }
@@ -432,7 +589,7 @@ std::optional<PagePtr> PageAllocator::Merge1GAnywhere() {
 
 void PageAllocator::Split2M(PagePtr base) {
   std::uint64_t head = FrameOf(base);
-  PageMeta& meta = meta_[head];
+  const PageMeta& meta = meta_[head];
   ATMO_CHECK(meta.state == PageState::kFree && meta.size == PageSize::k2M,
              "Split2M on page that is not a free 2M page");
   UnlinkFree(head);
@@ -443,14 +600,14 @@ void PageAllocator::Split2M(PagePtr base) {
 
 void PageAllocator::Split1G(PagePtr base) {
   std::uint64_t head = FrameOf(base);
-  PageMeta& meta = meta_[head];
+  const PageMeta& meta = meta_[head];
   ATMO_CHECK(meta.state == PageState::kFree && meta.size == PageSize::k1G,
              "Split1G on page that is not a free 1G page");
   UnlinkFree(head);
   for (std::uint64_t unit = 0; unit < kFramesPer1G; unit += kFramesPer2M) {
     PushFree(head + unit, PageSize::k2M);
     for (std::uint64_t i = 1; i < kFramesPer2M; ++i) {
-      PageMeta& tail = meta_[head + unit + i];
+      PageMeta& tail = Write(head + unit + i);
       tail.state = PageState::kMerged;
       tail.merged_head = head + unit;
     }
@@ -464,10 +621,9 @@ PageSize PageAllocator::SizeClassOf(PagePtr ptr) const { return meta_[FrameOf(pt
 CtnrPtr PageAllocator::OwnerOf(PagePtr ptr) const { return meta_[FrameOf(ptr)].owner; }
 
 void PageAllocator::SetOwner(PagePtr ptr, CtnrPtr owner) {
-  PageMeta& meta = meta_[FrameOf(ptr)];
+  PageMeta& meta = Write(FrameOf(ptr));
   ATMO_CHECK(meta.state == PageState::kAllocated || meta.state == PageState::kMapped,
              "SetOwner on page that is not allocated or mapped");
-  dirty_.Mark(ptr);
   meta.owner = owner;
 }
 
@@ -783,6 +939,293 @@ bool PageAllocator::WfReference() const {
   return CheckCoalescingHeaps();
 }
 
+namespace {
+
+bool IsHead(PageState state) {
+  return state == PageState::kFree || state == PageState::kAllocated ||
+         state == PageState::kMapped;
+}
+
+// A frame's contribution to its 2M group's counter and its 1G region's.
+std::uint64_t Free4KIn2M(const PageAllocator::PageMeta& meta) {
+  return meta.state == PageState::kFree && meta.size == PageSize::k4K ? 1 : 0;
+}
+std::uint64_t FreeEqIn1G(const PageAllocator::PageMeta& meta) {
+  if (meta.state != PageState::kFree || meta.size == PageSize::k1G) {
+    return 0;
+  }
+  return meta.size == PageSize::k4K ? 1 : kFramesPer2M;
+}
+
+}  // namespace
+
+const char* PageAllocator::LocalFrameWf(std::uint64_t frame, const PageMeta& before,
+                                        std::uint64_t* entries) const {
+  const PageMeta& meta = meta_[frame];
+  std::uint64_t span = 1;
+  switch (meta.state) {
+    case PageState::kUnavailable:
+      if (frame >= reserved_frames_) {
+        return "unavailable frame above the reserved range";
+      }
+      break;
+    case PageState::kFree:
+    case PageState::kAllocated:
+    case PageState::kMapped:
+      span = PageFrames4K(meta.size);
+      if (frame % span != 0 || frame + span > meta_.size()) {
+        return "unit misaligned or past the end";
+      }
+      if (meta.state == PageState::kMapped && meta.map_count == 0) {
+        return "mapped frame with no mapping";
+      }
+      // A unit this frame did not head before: every tail is merged into it.
+      // A unit it headed already keeps its tails, unless a tail was written
+      // (the covering-unit check below, run for that tail).
+      if (span > 1 && !(IsHead(before.state) && before.size == meta.size)) {
+        for (std::uint64_t i = 1; i < span; ++i) {
+          ++*entries;
+          const PageMeta& tail = meta_[frame + i];
+          if (tail.state != PageState::kMerged || tail.merged_head != frame) {
+            return "unit tail not merged into its head";
+          }
+        }
+      }
+      break;
+    case PageState::kMerged: {
+      const std::uint64_t head = meta.merged_head;
+      if (head == kNilFrame || head >= meta_.size()) {
+        return "merged frame without a live head";
+      }
+      ++*entries;
+      const PageMeta& head_meta = meta_[head];
+      if (!IsHead(head_meta.state) || head_meta.size == PageSize::k4K || frame <= head ||
+          frame >= head + PageFrames4K(head_meta.size)) {
+        return "merged frame without a live head";
+      }
+      break;
+    }
+    default:
+      return "corrupted frame state";
+  }
+  // Units are aligned, so only the 2M and 1G heads at or below this frame
+  // can cover it; one that does must be its merged head.
+  for (std::uint64_t unit : {frame - frame % kFramesPer2M, frame - frame % kFramesPer1G}) {
+    if (unit == frame) {
+      continue;
+    }
+    ++*entries;
+    const PageMeta& cover = meta_[unit];
+    if (IsHead(cover.state) && frame < unit + PageFrames4K(cover.size) &&
+        (meta.state != PageState::kMerged || meta.merged_head != unit)) {
+      return "frame inside another unit";
+    }
+  }
+  // A unit this frame headed and no longer heads at that size: none of its
+  // old tails may still name it, beyond the frame's current span.
+  const std::uint64_t old_span = IsHead(before.state) ? PageFrames4K(before.size) : 1;
+  if (old_span > 1 && !(IsHead(meta.state) && meta.size == before.size)) {
+    for (std::uint64_t i = span; i < old_span && frame + i < meta_.size(); ++i) {
+      ++*entries;
+      const PageMeta& tail = meta_[frame + i];
+      if (tail.state == PageState::kMerged && tail.merged_head == frame) {
+        return "old unit tail still names its head";
+      }
+    }
+  }
+  return nullptr;
+}
+
+const char* PageAllocator::LocalListWf(PageSize size, const Writes& writes,
+                                       std::uint64_t* entries) const {
+  // The list is old list minus the frames that left it, with the frames
+  // that joined pushed at its head. A frame that left and came back (popped,
+  // then freed) counts as leaving its old place and joining at the head.
+  // Unrecorded frames kept their links, so the check reads only records,
+  // the frames they name and the head run of recorded members.
+  auto member = [size](const PageMeta& meta) {
+    return meta.state == PageState::kFree && meta.size == size;
+  };
+  const std::vector<FrameRecord>& recs = writes.frames;
+  auto record_of = [&writes](std::uint64_t frame) { return writes.Find(frame); };
+  auto before = [&](std::uint64_t frame) -> const PageMeta& {
+    const FrameRecord* r = record_of(frame);
+    return r != nullptr ? r->before : meta_[frame];
+  };
+  const FreeList& now = ListFor(size);
+  const ListRecord* list_rec = FindRecord(writes.lists, kListKey, static_cast<int>(size));
+  const FreeList base = list_rec != nullptr ? list_rec->before : now;
+
+  std::uint64_t joined = 0;
+  std::uint64_t left = 0;
+  for (const FrameRecord& r : recs) {
+    const bool was = member(r.before);
+    const bool is = member(meta_[r.frame]);
+    joined += !was && is ? 1 : 0;
+    left += was && !is ? 1 : 0;
+  }
+  if (now.count != base.count + joined - left) {
+    return "free-list count";
+  }
+
+  // The head run: recorded members from the head, prev links checked.
+  std::vector<std::uint64_t> run;
+  std::uint64_t after_run = now.head;
+  while (after_run != kNilFrame && run.size() <= recs.size()) {
+    if (after_run >= meta_.size()) {
+      return "free-list link out of range";
+    }
+    if (record_of(after_run) == nullptr || !member(meta_[after_run])) {
+      break;
+    }
+    ++*entries;
+    run.push_back(after_run);
+    after_run = meta_[after_run].next;
+  }
+  std::size_t linked = 0;  // the run's prefix whose prev links are right
+  while (linked < run.size() &&
+         meta_[run[linked]].prev == (linked == 0 ? kNilFrame : run[linked - 1])) {
+    ++linked;
+  }
+  std::size_t min_pushed = 0;  // every joiner lies in the pushed part
+  std::uint64_t joiners_in_run = 0;
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    if (!member(before(run[i]))) {
+      ++joiners_in_run;
+      min_pushed = i + 1;
+    }
+  }
+  if (joiners_in_run != joined) {
+    return "free-list joiner not at the head";
+  }
+  auto run_index = [&](std::uint64_t frame) -> std::size_t {
+    auto it = std::find(run.begin(), run.end(), frame);
+    return static_cast<std::size_t>(it - run.begin());
+  };
+
+  // Try each split of the run into pushed frames and frames in place; the
+  // first consistent one proves the shape (any one does).
+  for (std::size_t pushed = min_pushed; pushed <= std::min(run.size(), linked); ++pushed) {
+    auto removed = [&](std::uint64_t frame) {
+      const FrameRecord* r = record_of(frame);
+      return r != nullptr && member(r->before) &&
+             (!member(meta_[frame]) || run_index(frame) < pushed);
+    };
+    // The next frame of the old list that stays in place, from `frame` on.
+    bool broken = false;
+    auto skip = [&](std::uint64_t frame, bool forward) {
+      for (std::size_t steps = 0; frame != kNilFrame && removed(frame); ++steps) {
+        if (steps > recs.size()) {
+          broken = true;  // a cycle among the old links
+          return kNilFrame;
+        }
+        frame = forward ? before(frame).next : before(frame).prev;
+      }
+      return frame;
+    };
+    const std::uint64_t first = skip(base.head, true);
+    const std::uint64_t expect_first = pushed < run.size() ? run[pushed] : after_run;
+    const std::uint64_t last_pushed = pushed == 0 ? kNilFrame : run[pushed - 1];
+    if (broken || first != expect_first ||
+        (first != kNilFrame && meta_[first].prev != last_pushed)) {
+      continue;
+    }
+    bool ok = true;
+    for (const FrameRecord& r : recs) {
+      if (!member(r.before)) {
+        continue;  // joiners were checked with the run
+      }
+      ++*entries;
+      if (removed(r.frame)) {
+        // Its old neighbours were relinked, so each was written.
+        for (std::uint64_t nb : {r.before.prev, r.before.next}) {
+          ok = ok && (nb == kNilFrame || record_of(nb) != nullptr);
+        }
+      } else {
+        const PageMeta& meta = meta_[r.frame];
+        const std::uint64_t expect_prev =
+            r.frame == first ? last_pushed : skip(r.before.prev, false);
+        ok = ok && meta.next == skip(r.before.next, true) && meta.prev == expect_prev;
+      }
+      if (!ok || broken) {
+        break;
+      }
+    }
+    if (ok && !broken) {
+      return nullptr;
+    }
+  }
+  return "free-list links";
+}
+
+const char* PageAllocator::LocalWf(const Writes& writes, std::uint64_t* entries) const {
+  const std::vector<FrameRecord>& recs = writes.frames;
+  auto before = [&](std::uint64_t frame) -> const PageMeta& {
+    const FrameRecord* r = writes.Find(frame);
+    return r != nullptr ? r->before : meta_[frame];
+  };
+  // Per frame: the written frames and their old and new list neighbours.
+  for (const FrameRecord& r : recs) {
+    ++*entries;
+    if (const char* clause = LocalFrameWf(r.frame, r.before, entries)) {
+      return clause;
+    }
+    const PageMeta& meta = meta_[r.frame];
+    for (std::uint64_t nb : {r.before.prev, r.before.next, meta.prev, meta.next}) {
+      if (nb == kNilFrame) {
+        continue;
+      }
+      ++*entries;
+      if (nb >= meta_.size()) {
+        return "free-list link out of range";
+      }
+      if (const char* clause = LocalFrameWf(nb, before(nb), entries)) {
+        return clause;
+      }
+    }
+  }
+  for (PageSize size : {PageSize::k4K, PageSize::k2M, PageSize::k1G}) {
+    if (const char* clause = LocalListWf(size, writes, entries)) {
+      return clause;
+    }
+  }
+  // Coalescing counters: each group or region that holds a written frame
+  // or was written itself moved by its frames' change in contribution;
+  // a full one is indexed. (Frames are sorted, so each group's are a run.)
+  auto check = [&](std::uint64_t per, const std::vector<CounterRecord>& counter_recs,
+                   const auto& counters, const std::vector<std::uint8_t>& flagged, auto contrib,
+                   std::uint64_t full) {
+    std::size_t i = 0;
+    std::size_t c = 0;
+    while (i < recs.size() || c < counter_recs.size()) {
+      const std::uint64_t unit = std::min(
+          i < recs.size() ? recs[i].frame / per : ~std::uint64_t{0},
+          c < counter_recs.size() ? counter_recs[c].index : ~std::uint64_t{0});
+      std::uint64_t expect = counters[unit];
+      if (c < counter_recs.size() && counter_recs[c].index == unit) {
+        expect = counter_recs[c++].free_before;
+      }
+      for (; i < recs.size() && recs[i].frame / per == unit; ++i) {
+        expect = expect + contrib(meta_[recs[i].frame]) - contrib(recs[i].before);
+      }
+      ++*entries;
+      if (counters[unit] != expect || (expect == full && !flagged[unit])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!check(kFramesPer2M, writes.groups, free_in_2m_, in_mergeable_2m_, Free4KIn2M,
+             kFramesPer2M)) {
+    return "2M group free counter";
+  }
+  if (!check(kFramesPer1G, writes.regions, free_eq_1g_, in_mergeable_1g_, FreeEqIn1G,
+             kFramesPer1G)) {
+    return "1G region free counter";
+  }
+  return nullptr;
+}
+
 PageAllocator PageAllocator::CloneForVerification() const {
   PageAllocator out(1, 1);  // minimal shell, overwritten member by member
   out.reserved_frames_ = reserved_frames_;
@@ -796,7 +1239,15 @@ PageAllocator PageAllocator::CloneForVerification() const {
   out.in_mergeable_1g_ = in_mergeable_1g_;
   out.mergeable_2m_ = mergeable_2m_;
   out.mergeable_1g_ = mergeable_1g_;
-  return out;  // with an empty mutation log
+  // The copy's write log is on and empty, as a drained log is (an atomic
+  // drain's rollback puts the copy in the kernel's place), so nothing in it
+  // is marked.
+  out.group_recorded_ = group_recorded_;
+  out.region_recorded_ = region_recorded_;
+  out.writes_ = writes_;
+  out.ClearMarks();
+  out.writes_.Clear();
+  return out;
 }
 
 }  // namespace atmo

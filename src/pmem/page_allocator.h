@@ -33,7 +33,6 @@
 
 #include "src/hw/phys_mem.h"
 #include "src/vstd/check.h"
-#include "src/vstd/dirty_set.h"
 #include "src/vstd/spec_set.h"
 #include "src/vstd/types.h"
 
@@ -172,21 +171,13 @@ class PageAllocator {
   // obligations (including the index cross-check) with independent code.
   bool WfReference() const;
 
-  // Dedup-drains the set of frames whose abstract attribution (state, size
-  // class, owner or map count) may have changed since the last drain.
-  void DrainDirtyInto(std::vector<PagePtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
-
-  // Deep copy for the verification harness, with an empty mutation log.
-  PageAllocator CloneForVerification() const;
-
- private:
-  friend struct PageAllocatorTestPeer;
-
   static constexpr std::uint64_t kNilFrame = ~0ull;
 
   struct PageMeta {
     PageState state = PageState::kUnavailable;
     PageSize size = PageSize::k4K;     // size class of the unit this frame heads
+    // Set while the frame has a record in the current write log (Write()).
+    bool recorded = false;
     std::uint64_t prev = kNilFrame;    // free-list links (frame indices)
     std::uint64_t next = kNilFrame;
     std::uint64_t merged_head = kNilFrame;  // for kMerged: head frame of the unit
@@ -198,6 +189,72 @@ class PageAllocator {
     std::uint64_t head = kNilFrame;
     std::uint64_t count = 0;
   };
+
+  // --- The write log (one write path for allocator state) ---
+  //
+  // Every write to a frame's metadata, a coalescing counter or flag, or a
+  // free list's head and count goes through an accessor that records the
+  // written object's value as it was before its first write since the last
+  // drain. The records are the allocator's dirty set (less the frames whose
+  // abstract view cannot have changed), so a write that the log misses
+  // cannot exist outside this file. LocalWf reads
+  // the records as the pre-state of everything written. The log is off
+  // until the first drain (the drain reports an overflow), so an allocator
+  // that nothing drains records nothing.
+  struct FrameRecord {
+    std::uint64_t frame;
+    PageMeta before;
+  };
+  struct CounterRecord {
+    std::uint64_t index;  // 2M group or 1G region
+    std::uint64_t free_before;
+  };
+  struct ListRecord {
+    PageSize size;
+    FreeList before;
+  };
+  struct Writes {
+    std::vector<FrameRecord> frames;
+    std::vector<CounterRecord> groups;
+    std::vector<CounterRecord> regions;
+    std::vector<ListRecord> lists;
+    bool overflow = false;  // records were dropped: the log is not exhaustive
+
+    std::size_t Size() const {
+      return frames.size() + groups.size() + regions.size() + lists.size();
+    }
+    void Clear();
+    // Appends `later`, the records of a later drain.
+    void Append(const Writes& later);
+    // Sorts each kind by key and keeps each key's first record: after
+    // Append-ing drains oldest first, that is the value before the first
+    // write of the whole span.
+    void KeepOldest();
+    // The record of `frame`, or null; KeepOldest() must have run.
+    const FrameRecord* Find(std::uint64_t frame) const;
+  };
+  // Records per drain before the log gives up and reports an overflow.
+  static constexpr std::size_t kWriteLogCap = std::size_t{1} << 16;
+
+  // Drains the write log: the written frames whose abstract view may have
+  // changed, ascending, into `pages` (the allocator's dirty set), and the
+  // records, appended to `writes` unless it is null. An overflowed log sets
+  // `*overflow` instead.
+  void DrainWrites(std::vector<PagePtr>* pages, bool* overflow, Writes* writes);
+
+  // Well-formedness of the allocator by induction (Kernel::LocalWf): given
+  // that Wf() held when the records' span began and `writes` holds every
+  // write since (KeepOldest applied), decides Wf() reading only the
+  // recorded objects, their old and new free-list neighbours and the unit
+  // heads that cover them. Returns the failed clause, or nullptr; adds the
+  // metadata entries read to `*entries`.
+  const char* LocalWf(const Writes& writes, std::uint64_t* entries) const;
+
+  // Deep copy for the verification harness, with an empty write log.
+  PageAllocator CloneForVerification() const;
+
+ private:
+  friend struct PageAllocatorTestPeer;
 
   std::uint64_t FrameOf(PagePtr ptr) const;
   PagePtr PtrOf(std::uint64_t frame) const { return frame * kPageSize4K; }
@@ -238,6 +295,30 @@ class PageAllocator {
   bool CheckFreeListLinks() const;
   bool CheckCoalescingHeaps() const;
 
+  // Appends `record` to the write log, which has not overflowed; false when
+  // the log is at its cap and overflows now.
+  template <typename Record>
+  bool Log(std::vector<Record>* records, const Record& record);
+  // The write path: each returns the object for writing after recording
+  // it (see Writes).
+  PageMeta& Write(std::uint64_t frame);
+  FreeList& WriteList(PageSize size);
+  // Records 2M group `group` (counter and heap flag) / 1G region `region`.
+  void RecordGroup(std::uint64_t group);
+  void RecordRegion(std::uint64_t region);
+  // Clears the marks of everything the write log holds.
+  void ClearMarks();
+  // Drops every record and clears their marks; the next drain reports an
+  // overflow.
+  void OverflowWrites();
+  // LocalWf's per-frame obligations for `frame` (state, alignment, the
+  // unit that covers it, and its old unit's tails); `before` is its
+  // metadata when the records began. Returns the failed clause, or nullptr.
+  const char* LocalFrameWf(std::uint64_t frame, const PageMeta& before,
+                           std::uint64_t* entries) const;
+  // LocalWf's free-list obligation for one size class.
+  const char* LocalListWf(PageSize size, const Writes& writes, std::uint64_t* entries) const;
+
   std::uint64_t reserved_frames_;
   std::vector<PageMeta> meta_;
   FreeList free_4k_;
@@ -249,7 +330,12 @@ class PageAllocator {
   std::vector<std::uint8_t> in_mergeable_1g_;
   std::vector<std::uint64_t> mergeable_2m_;  // min-heap of coalescible group indices
   std::vector<std::uint64_t> mergeable_1g_;  // min-heap of coalescible region indices
-  DirtyLog dirty_;
+  // The write log and the marks of what it holds (groups, regions, lists;
+  // frames carry theirs in PageMeta::recorded).
+  Writes writes_;
+  std::vector<std::uint8_t> group_recorded_;
+  std::vector<std::uint8_t> region_recorded_;
+  std::uint8_t list_recorded_[3] = {0, 0, 0};
 };
 
 template <typename Emit>

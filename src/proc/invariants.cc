@@ -7,18 +7,48 @@
 
 namespace atmo {
 
-namespace {
-
 std::string Hex(std::uint64_t v) {
   std::ostringstream out;
   out << "0x" << std::hex << v;
   return out.str();
 }
 
+namespace {
+
+// Calls check(ptr, object) for every object of `perms` the scope names (all
+// of them under a null scope), stopping at the first failure.
+template <typename T, typename Check>
+InvResult ForEachInScope(const PermissionMap<T>& perms, const std::vector<std::uint64_t>* scope,
+                         Check check) {
+  if (scope == nullptr) {
+    for (const auto& [ptr, perm] : perms) {
+      if (InvResult r = check(ptr, perm.value()); !r.ok) {
+        return r;
+      }
+    }
+    return InvResult{};
+  }
+  for (std::uint64_t ptr : *scope) {
+    if (!perms.contains(ptr)) {
+      continue;
+    }
+    if (InvResult r = check(ptr, perms.Get(ptr)); !r.ok) {
+      return r;
+    }
+  }
+  return InvResult{};
+}
+
+const std::vector<std::uint64_t>* Kind(const ObjectScope* scope,
+                                       std::vector<std::uint64_t> ObjectScope::*kind) {
+  return scope == nullptr ? nullptr : &(scope->*kind);
+}
+
 }  // namespace
 
-InvResult ContainerTreeWf(const ProcessManager& pm) {
+InvResult ContainerTreeWf(const ProcessManager& pm, const ObjectScope* scope) {
   const PermissionMap<Container>& cntrs = pm.cntr_perms();
+  const std::vector<CtnrPtr>* in_scope = Kind(scope, &ObjectScope::ctnrs);
   CtnrPtr root = pm.root_container();
 
   if (!cntrs.contains(root)) {
@@ -31,8 +61,7 @@ InvResult ContainerTreeWf(const ProcessManager& pm) {
     }
   }
 
-  for (const auto& [c_ptr, perm] : cntrs) {
-    const Container& c = perm.value();
+  InvResult r = ForEachInScope(cntrs, in_scope, [&](CtnrPtr c_ptr, const Container& c) {
     if (!c.children.LinksWf()) {
       return InvResult::Fail("children list links corrupt in " + Hex(c_ptr));
     }
@@ -42,7 +71,7 @@ InvResult ContainerTreeWf(const ProcessManager& pm) {
 
     // Parent/child mutual consistency and ghost anchoring.
     if (c_ptr == root) {
-      continue;
+      return InvResult{};
     }
     if (c.parent == kNullPtr || !cntrs.contains(c.parent)) {
       return InvResult::Fail("container " + Hex(c_ptr) + " has dangling parent");
@@ -63,13 +92,16 @@ InvResult ContainerTreeWf(const ProcessManager& pm) {
     if (c.depth != c.path.len()) {
       return InvResult::Fail("depth of " + Hex(c_ptr) + " differs from path length");
     }
+    return InvResult{};
+  });
+  if (!r.ok) {
+    return r;
   }
 
   // resolve_path_wf (§4.1): for any node at depth d on the path of container
   // c, c's subpath from the root to depth d equals that node's path —
   // expressed directly against the flat map, no recursion.
-  for (const auto& [c_ptr, perm] : cntrs) {
-    const Container& c = perm.value();
+  r = ForEachInScope(cntrs, in_scope, [&](CtnrPtr c_ptr, const Container& c) {
     for (std::size_t d = 0; d < c.path.len(); ++d) {
       CtnrPtr ancestor = c.path[d];
       if (!cntrs.contains(ancestor)) {
@@ -79,12 +111,15 @@ InvResult ContainerTreeWf(const ProcessManager& pm) {
         return InvResult::Fail("path prefix-closure violated at " + Hex(c_ptr));
       }
     }
+    return InvResult{};
+  });
+  if (!r.ok) {
+    return r;
   }
 
   // Bidirectional subtree invariant: c1 is in c2's subtree iff c2 is on
-  // c1's path.
-  for (const auto& [c1_ptr, perm1] : cntrs) {
-    const Container& c1 = perm1.value();
+  // c1's path. A scope names every c1 whose pairs may have changed.
+  r = ForEachInScope(cntrs, in_scope, [&](CtnrPtr c1_ptr, const Container& c1) {
     for (const auto& [c2_ptr, perm2] : cntrs) {
       const Container& c2 = perm2.value();
       bool in_subtree = c2.subtree.contains(c1_ptr);
@@ -104,26 +139,30 @@ InvResult ContainerTreeWf(const ProcessManager& pm) {
     if (!members_live) {
       return InvResult::Fail("subtree of " + Hex(c1_ptr) + " references a dead container");
     }
+    return InvResult{};
+  });
+  if (!r.ok) {
+    return r;
   }
 
   // Children membership implies parenthood (the quantified converse of the
   // per-child checks above).
-  for (const auto& [c_ptr, perm] : cntrs) {
-    for (CtnrPtr child : perm.value().children) {
+  return ForEachInScope(cntrs, in_scope, [&](CtnrPtr c_ptr, const Container& c) {
+    for (CtnrPtr child : c.children) {
       if (!cntrs.contains(child) || cntrs.Get(child).parent != c_ptr) {
         return InvResult::Fail("children list of " + Hex(c_ptr) + " holds a non-child");
       }
     }
-  }
-  return InvResult{};
+    return InvResult{};
+  });
 }
 
-InvResult ProcessTreeWf(const ProcessManager& pm) {
+InvResult ProcessTreeWf(const ProcessManager& pm, const ObjectScope* scope) {
   const PermissionMap<Process>& procs = pm.proc_perms();
   const PermissionMap<Container>& cntrs = pm.cntr_perms();
 
-  for (const auto& [p_ptr, perm] : procs) {
-    const Process& p = perm.value();
+  InvResult r = ForEachInScope(procs, Kind(scope, &ObjectScope::procs), [&](ProcPtr p_ptr,
+                                                                           const Process& p) {
     if (!p.children.LinksWf() || !p.threads.LinksWf()) {
       return InvResult::Fail("embedded list links corrupt in process " + Hex(p_ptr));
     }
@@ -162,27 +201,32 @@ InvResult ProcessTreeWf(const ProcessManager& pm) {
         return InvResult::Fail("children list of process " + Hex(p_ptr) + " holds a non-child");
       }
     }
+    return InvResult{};
+  });
+  if (!r.ok) {
+    return r;
   }
 
   // Every owned_procs member is a live process owned by that container.
-  for (const auto& [c_ptr, perm] : cntrs) {
-    for (ProcPtr proc : perm.value().owned_procs) {
+  return ForEachInScope(cntrs, Kind(scope, &ObjectScope::ctnrs), [&](CtnrPtr c_ptr,
+                                                                     const Container& c) {
+    for (ProcPtr proc : c.owned_procs) {
       if (!procs.contains(proc) || procs.Get(proc).owning_container != c_ptr) {
         return InvResult::Fail("owned_procs of " + Hex(c_ptr) + " holds a foreign process");
       }
     }
-  }
-  return InvResult{};
+    return InvResult{};
+  });
 }
 
-InvResult ThreadsWf(const ProcessManager& pm) {
+InvResult ThreadsWf(const ProcessManager& pm, const ObjectScope* scope) {
   const PermissionMap<Thread>& thrds = pm.thrd_perms();
   const PermissionMap<Process>& procs = pm.proc_perms();
   const PermissionMap<Container>& cntrs = pm.cntr_perms();
   const PermissionMap<Endpoint>& edpts = pm.edpt_perms();
 
-  for (const auto& [t_ptr, perm] : thrds) {
-    const Thread& t = perm.value();
+  InvResult r = ForEachInScope(thrds, Kind(scope, &ObjectScope::thrds), [&](ThrdPtr t_ptr,
+                                                                           const Thread& t) {
     if (!procs.contains(t.owning_proc)) {
       return InvResult::Fail("thread " + Hex(t_ptr) + " owned by dead process");
     }
@@ -248,42 +292,50 @@ InvResult ThreadsWf(const ProcessManager& pm) {
         break;
       }
     }
+    return InvResult{};
+  });
+  if (!r.ok) {
+    return r;
   }
 
   // Converse of the ghost set: owned_threads only holds live owned threads.
-  for (const auto& [c_ptr, perm] : cntrs) {
-    bool ok = perm.value().owned_threads.ForAll([&](ThrdPtr t_ptr) {
+  return ForEachInScope(cntrs, Kind(scope, &ObjectScope::ctnrs), [&](CtnrPtr c_ptr,
+                                                                     const Container& c) {
+    bool ok = c.owned_threads.ForAll([&](ThrdPtr t_ptr) {
       return thrds.contains(t_ptr) && thrds.Get(t_ptr).owning_ctnr == c_ptr;
     });
     if (!ok) {
       return InvResult::Fail("owned_threads ghost set of " + Hex(c_ptr) + " holds a stranger");
     }
-  }
-  return InvResult{};
+    return InvResult{};
+  });
 }
 
-InvResult EndpointsWf(const ProcessManager& pm) {
+InvResult EndpointsWf(const ProcessManager& pm, const ObjectScope* scope) {
   const PermissionMap<Thread>& thrds = pm.thrd_perms();
   const PermissionMap<Endpoint>& edpts = pm.edpt_perms();
   const PermissionMap<Container>& cntrs = pm.cntr_perms();
 
-  // Reference counts: tally descriptor references across all threads.
+  // Reference counts: tally descriptor references across all threads. A
+  // scoped check leaves the tally to its caller, which keeps it as deltas.
   std::map<EdptPtr, std::uint64_t> refs;
-  for (const auto& [t_ptr, perm] : thrds) {
-    for (EdptPtr edpt : perm.value().endpoints) {
-      if (edpt != kNullPtr) {
-        ++refs[edpt];
+  if (scope == nullptr) {
+    for (const auto& [t_ptr, perm] : thrds) {
+      for (EdptPtr edpt : perm.value().endpoints) {
+        if (edpt != kNullPtr) {
+          ++refs[edpt];
+        }
       }
     }
   }
 
-  for (const auto& [e_ptr, perm] : edpts) {
-    const Endpoint& e = perm.value();
+  InvResult r = ForEachInScope(edpts, Kind(scope, &ObjectScope::edpts), [&](EdptPtr e_ptr,
+                                                                           const Endpoint& e) {
     if (!e.queue.LinksWf()) {
       return InvResult::Fail("endpoint queue links corrupt in " + Hex(e_ptr));
     }
     std::uint64_t expected = refs.count(e_ptr) ? refs[e_ptr] : 0;
-    if (e.rf_count != expected) {
+    if (scope == nullptr && e.rf_count != expected) {
       return InvResult::Fail("rf_count of " + Hex(e_ptr) + " disagrees with descriptors");
     }
     if (e.rf_count == 0) {
@@ -305,6 +357,10 @@ InvResult EndpointsWf(const ProcessManager& pm) {
                                Hex(e_ptr));
       }
     }
+    return InvResult{};
+  });
+  if (!r.ok) {
+    return r;
   }
   // No dangling references (a descriptor to a freed endpoint).
   for (const auto& [e_ptr, count] : refs) {
@@ -390,15 +446,14 @@ InvResult QuotaWf(const ProcessManager& pm, const PageAllocator& alloc) {
   return tally.Verdict(pm);
 }
 
-InvResult ProcessManagerWf(const ProcessManager& pm) {
-  for (auto* check : {&ContainerTreeWf, &ProcessTreeWf, &ThreadsWf, &EndpointsWf,
-                      &SchedulerWf}) {
-    InvResult result = (*check)(pm);
+InvResult ProcessManagerWf(const ProcessManager& pm, const ObjectScope* scope) {
+  for (auto* check : {&ContainerTreeWf, &ProcessTreeWf, &ThreadsWf, &EndpointsWf}) {
+    InvResult result = (*check)(pm, scope);
     if (!result.ok) {
       return result;
     }
   }
-  return InvResult{};
+  return SchedulerWf(pm);
 }
 
 }  // namespace atmo

@@ -12,6 +12,7 @@
 #define ATMO_SRC_PROC_INVARIANTS_H_
 
 #include <string>
+#include <vector>
 
 #include "src/pmem/page_allocator.h"
 #include "src/proc/process_manager.h"
@@ -26,21 +27,36 @@ struct InvResult {
   static InvResult Fail(std::string d) { return InvResult{false, std::move(d)}; }
 };
 
+// An object id as failure details print it ("0x...").
+std::string Hex(std::uint64_t v);
+
+// The objects a local Wf check visits (Kernel::LocalWf), each kind sorted
+// ascending. The checks below quantify over every object under a null
+// scope, and over the scope's objects otherwise; a relation between two
+// objects is checked from the end the scope names.
+struct ObjectScope {
+  std::vector<CtnrPtr> ctnrs;
+  std::vector<ProcPtr> procs;
+  std::vector<ThrdPtr> thrds;
+  std::vector<EdptPtr> edpts;
+};
+
 // container_tree_wf: root anchoring, parent/children mutual consistency,
 // depth/path/subtree ghost-state correctness, acyclicity.
-InvResult ContainerTreeWf(const ProcessManager& pm);
+InvResult ContainerTreeWf(const ProcessManager& pm, const ObjectScope* scope = nullptr);
 
 // process_tree_wf: per-container process trees are well-formed.
-InvResult ProcessTreeWf(const ProcessManager& pm);
+InvResult ProcessTreeWf(const ProcessManager& pm, const ObjectScope* scope = nullptr);
 
 // threads_wf: ownership links and the state/location exclusivity — every
 // thread is in exactly the place its state says (current / run queue /
 // endpoint wait queue).
-InvResult ThreadsWf(const ProcessManager& pm);
+InvResult ThreadsWf(const ProcessManager& pm, const ObjectScope* scope = nullptr);
 
 // endpoints_wf: reference counts equal descriptor references; wait queues
-// hold matching blocked threads.
-InvResult EndpointsWf(const ProcessManager& pm);
+// hold matching blocked threads. A scoped check omits the reference tally,
+// which Kernel::LocalWf keeps as deltas.
+InvResult EndpointsWf(const ProcessManager& pm, const ObjectScope* scope = nullptr);
 
 // scheduler_wf: the run queue holds exactly the runnable threads, no
 // duplicates; current is running.
@@ -68,8 +84,9 @@ class QuotaTally {
 };
 
 // Conjunction of all of the above (without quota, which needs the
-// allocator).
-InvResult ProcessManagerWf(const ProcessManager& pm);
+// allocator). The scheduler check reads only the run queue, so it is never
+// scoped.
+InvResult ProcessManagerWf(const ProcessManager& pm, const ObjectScope* scope = nullptr);
 
 }  // namespace atmo
 

@@ -264,11 +264,8 @@ SpecResult YieldSpec(const AbstractKernel& pre, const AbstractKernel& post, Thrd
 // ---------------------------------------------------------------------------
 
 SpecResult MmapSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                    const Syscall& call, const SyscallRet& ret) {
+                    const Syscall& call) {
   const VaRange& range = call.va_range;
-  if (ret.value != range.count) {
-    return Fail("mmap return value is not the mapped count");
-  }
   const AbsThread& thread = pre.get_thread(t);
   // "The state of each thread is unchanged" (Listing 1, lines 7-11), and so
   // are processes, endpoints, IOMMU and the scheduler: mmap's frame profile.
@@ -900,8 +897,7 @@ SpecResult GrantReturnSpec(const AbstractKernel& pre, const AbstractKernel& post
 // strongest any syscall carries. Success additionally requires the evidence
 // the kernel claims to have checked: a writable, user-accessible mapping
 // based at the destination VA in the *pre* state.
-SpecResult ObsQuerySpec(const AbstractKernel& pre, ThrdPtr t, const Syscall& call,
-                        const SyscallRet& ret) {
+SpecResult ObsQuerySpec(const AbstractKernel& pre, ThrdPtr t, const Syscall& call) {
   ProcPtr proc = pre.get_thread(t).proc;
   VAddr va = call.va_range.base;
   const SpecMap<VAddr, MapEntry>& space = pre.get_address_space(proc);
@@ -911,9 +907,6 @@ SpecResult ObsQuerySpec(const AbstractKernel& pre, ThrdPtr t, const Syscall& cal
   const MapEntry& dest = space.at(va);
   if (!dest.perm.writable || !dest.perm.user) {
     return Fail("obs query succeeded through a non-writable or kernel-only mapping");
-  }
-  if (ret.value != sizeof(ObsQueryRecord)) {
-    return Fail("obs query did not report the snapshot record size");
   }
   return SpecResult{};
 }
@@ -1458,11 +1451,23 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
   if (!frame.empty()) {
     return Fail("frame profile violated: out-of-frame component changed: " + frame);
   }
+  // The value column of the syscall table, for the classes that need no
+  // state; kObject, kSqDepth and kBatchCount are the op's own spec's.
+  if (ret.error == SysError::kOk) {
+    const SysValue value = ReturnValueClass(call.op);
+    const bool wrong =
+        (value == SysValue::kZero && ret.value != 0) ||
+        (value == SysValue::kPageCount && ret.value != call.va_range.count) ||
+        (value == SysValue::kRecordSize && ret.value != sizeof(ObsQueryRecord));
+    if (wrong) {
+      return Fail(std::string(SysOpName(call.op)) + " return value is outside its class");
+    }
+  }
   switch (call.op) {
     case SysOp::kYield:
       return YieldSpec(pre, post, t, ret);
     case SysOp::kMmap:
-      return MmapSpec(pre, post, t, call, ret);
+      return MmapSpec(pre, post, t, call);
     case SysOp::kMunmap:
       return MunmapSpec(pre, post, t, call);
     case SysOp::kNewContainer:
@@ -1508,7 +1513,7 @@ SpecResult SyscallSpec(const AbstractKernel& pre, const AbstractKernel& post, Th
     case SysOp::kGrantReturn:
       return GrantReturnSpec(pre, post, t, call);
     case SysOp::kObsQuery:
-      return ObsQuerySpec(pre, t, call, ret);
+      return ObsQuerySpec(pre, t, call);
   }
   return Fail("unknown syscall");
 }

@@ -14,7 +14,10 @@
 //   3. the op's frame profile — every component of Ψ outside
 //      FrameProfileFor(op) (the frame column of ATMO_SYSOPS, see
 //      src/spec/frame_profile.h) is unchanged;
-//   4. the op's own effect, a file-local predicate in syscall_specs.cc that
+//   4. the value of a successful return, for the value classes that need
+//      no state (kZero, kPageCount, kRecordSize: the value column); any
+//      other value fails with "<name> return value is outside its class";
+//   5. the op's own effect, a file-local predicate in syscall_specs.cc that
 //      states only what the profile cannot: the exact change inside the
 //      profile's components, and the ones a particular path leaves alone.
 // Output determinism — the return value is a function of (Ψ, t, call) — is

@@ -25,7 +25,15 @@ void RefinementChecker::Capture() {
   // Drain in both modes: the logs are append-only and must not grow without
   // bound across a long full-rebuild run. dirty_ keeps its capacity, so a
   // drain under the high-water mark allocates nothing.
-  kernel_->DrainDirty(&dirty_);
+  const bool keep_writes = !total_wf_due_;
+  kernel_->DrainDirty(&dirty_, keep_writes ? &wf_writes_ : nullptr);
+  if (keep_writes && !dirty_.Empty()) {
+    wf_written_.Append(dirty_);
+    if (wf_written_.overflow || wf_writes_.overflow ||
+        wf_written_.TotalEntries() + wf_writes_.Size() > DirtyLog::kCap) {
+      total_wf_due_ = true;  // the write set is not exhaustive
+    }
+  }
   // Nodes written while patching Ψ land in the checker's arena (or the
   // heap when use_arena is off — ArenaScope(nullptr) is the heap).
   ArenaScope arena_scope(arena_);
@@ -47,6 +55,44 @@ void RefinementChecker::Capture() {
   stats_.abstraction_ns += NowNs() - t0;
 }
 
+void RefinementChecker::CheckWf(SysOp op) {
+  const bool total = !options_.incremental || total_wf_due_;
+  std::uint64_t t0 = NowNs();
+  InvResult wf = [&] {
+    ATMO_OBS_SPAN(obs::kCatCheck, "check.wf");
+    // TotalWf builds transient spec views of every subsystem (O(state)
+    // map/set temporaries, all dead by the time the InvResult returns), and
+    // LocalWf smaller ones, so they belong in the arena too.
+    ArenaScope arena_scope(arena_);
+    if (total) {
+      return kernel_->TotalWf();
+    }
+    wf_written_.Normalize();
+    wf_writes_.KeepOldest();
+    return kernel_->LocalWf(*wf_base_, wf_written_, wf_writes_, &stats_.local_wf_entries);
+  }();
+  stats_.wf_ns += NowNs() - t0;
+  ++stats_.wf_checks;
+  stats_.total_wf_runs += total ? 1 : 0;
+  ATMO_CHECK(wf.ok, std::string("total_wf failed after ") + SysOpName(op) +
+                        (total ? ": " : " (LocalWf): ") + wf.detail);
+  // Wf holds now: the next check inducts from here. (Full-rebuild mode
+  // keeps no base: each of its checks is a TotalWf.) LocalWf reads the
+  // frames' base state from the allocator's records, not from Ψ, so the
+  // base drops the frame components: the nodes the next steps replace in
+  // them are not kept alive until the next check.
+  if (options_.incremental) {
+    wf_base_ = Snapshot();
+    wf_base_->pages = {};
+    wf_base_->free_pages_4k = {};
+    wf_base_->free_pages_2m = {};
+    wf_base_->free_pages_1g = {};
+    wf_written_.Clear();
+    wf_writes_.Clear();
+    total_wf_due_ = false;
+  }
+}
+
 AbstractKernel RefinementChecker::Snapshot() const {
   // O(1) per tree: the copy shares every node with cached_, and the next
   // capture path-copies only what it changes. SpecSeq copies land in the
@@ -60,6 +106,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   if (options_.use_arena && arena_ == nullptr) {
     // Made on the stepping thread: a pool serves only its owner thread from
     // its free lists (src/vstd/arena.h).
+    // averif-lint: allow(hot-path-alloc) — once per checker, at its first Step, so that the arena belongs to the stepping thread
     arena_ = std::make_shared<SpecArena>();
   }
   obs::AllocProbe heap_probe;
@@ -105,24 +152,14 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
     ++stats_.batch_drains;
     stats_.batched_entries += ret.value;
   }
+  const bool audit =
+      options_.incremental && options_.audit_every != 0 && stats_.steps % options_.audit_every == 0;
+  // The first Wf check at or after an audit is a TotalWf.
+  total_wf_due_ = total_wf_due_ || audit;
   if (options_.check_wf_every != 0 && stats_.steps % options_.check_wf_every == 0) {
-    t0 = NowNs();
-    InvResult wf = [&] {
-      ATMO_OBS_SPAN(obs::kCatCheck, "check.wf");
-      // Invariant evaluation builds transient spec views of every
-      // subsystem (O(state) map/set temporaries, all dead by the time the
-      // InvResult returns) — the largest per-step allocation source after
-      // the snapshots themselves, so it belongs in the arena too.
-      ArenaScope arena_scope(arena_);
-      return kernel_->TotalWf();
-    }();
-    stats_.wf_ns += NowNs() - t0;
-    ++stats_.wf_checks;
-    ATMO_CHECK(wf.ok, std::string("total_wf failed after ") + SysOpName(call.op) + ": " +
-                          wf.detail);
+    CheckWf(call.op);
   }
-  if (options_.incremental && options_.audit_every != 0 &&
-      stats_.steps % options_.audit_every == 0) {
+  if (audit) {
     t0 = NowNs();
     // No drain here: anything mutated since the post-capture belongs to the
     // next step's delta. The audit demands that the cache equal Abstract()

@@ -8,7 +8,19 @@
 //   3. capture Ψ' = Abstract(kernel)
 //   4. check DispatchSpec / SyscallSpec(Ψ, Ψ', t, call, ret) — failure
 //      atomicity, the op's frame profile, then the op's own effect
-//   5. check total_wf(kernel)                  (well-formedness theorem)
+//   5. establish total_wf(kernel)              (well-formedness theorem)
+//
+// Step 5 runs every `check_wf_every` steps and establishes Wf by induction
+// (DESIGN.md §8): Wf held at the last passed check, whose Ψ the checker
+// keeps as the base (an O(1) snapshot); every capture since drained the
+// subsystems' write logs into the checker's write set; Kernel::LocalWf then
+// checks only what was written and what it relates to. A Wf check runs the
+// whole TotalWf() in four cases: the first check after construction, the
+// first check after a write log overflowed, the first check at or after
+// each audit, and every check in full-rebuild mode. So `audit_every` paces
+// both defence-in-depth passes; with audit_every = 0 no check after the
+// first (and after an overflow) is a TotalWf, and a write behind every log
+// (a raw PTE store) is never found.
 //
 // Incremental mode (the default) maintains Ψ across steps: each capture
 // patches the cached snapshot in place at exactly the entries the
@@ -42,9 +54,14 @@ struct CheckStats {
   std::uint64_t steps = 0;
   std::uint64_t abstraction_ns = 0;  // time in Abstract()/AbstractDelta()
   std::uint64_t spec_ns = 0;         // time in DispatchSpec/SyscallSpec (frame check included)
-  std::uint64_t wf_ns = 0;           // time in TotalWf()
+  std::uint64_t wf_ns = 0;           // time in Wf checks (TotalWf and LocalWf)
   std::uint64_t audit_ns = 0;        // time in full-Abstract audit passes
-  std::uint64_t wf_checks = 0;       // number of TotalWf() evaluations
+  std::uint64_t wf_checks = 0;       // number of Wf checks
+  std::uint64_t total_wf_runs = 0;   // of them, those that ran TotalWf()
+  // Entries LocalWf read: written frames and their neighbours, objects,
+  // mappings diffed or re-checked. A deterministic work counter: it must
+  // not grow with the machine (the frames sweep's gate).
+  std::uint64_t local_wf_entries = 0;
   std::uint64_t audit_passes = 0;    // number of audits performed
   std::uint64_t full_abstractions = 0;   // full Abstract() captures
   std::uint64_t delta_abstractions = 0;  // AbstractDelta() captures
@@ -63,12 +80,14 @@ struct CheckStats {
 class RefinementChecker {
  public:
   struct Options {
-    // total_wf is O(state), so large trace runs may check it every N steps
-    // (specs are still checked on every step). 1 = always, 0 = never.
+    // Wf is established every N steps (specs are still checked on every
+    // step). 1 = always, 0 = never.
     std::uint64_t check_wf_every = 1;
     // Every N steps, require the incrementally maintained Ψ to equal
-    // Abstract() (defence in depth against a missing dirty mark). 0 =
-    // never. Ignored in full-rebuild mode.
+    // Abstract(), and make the next Wf check a whole TotalWf (defence in
+    // depth against a missing dirty mark or a write behind the logs). 0 =
+    // never. Ignored in full-rebuild mode, where every Wf check is a
+    // TotalWf.
     std::uint64_t audit_every = 16;
     // false: rebuild Ψ from scratch at every capture (the pre-optimization
     // behaviour, kept as the differential-testing oracle).
@@ -103,8 +122,11 @@ class RefinementChecker {
 
  private:
   // Drains the kernel's dirty logs and brings cached_ up to the current Ψ —
-  // by patching it in place when incremental, by full rebuild otherwise.
+  // by patching it in place when incremental, by full rebuild otherwise —
+  // and adds the drain to the Wf write set.
   void Capture();
+  // Establishes Wf after a step (Step 5), by LocalWf or TotalWf.
+  void CheckWf(SysOp op);
   // A copy of cached_ that later captures leave untouched.
   AbstractKernel Snapshot() const;
 
@@ -119,6 +141,14 @@ class RefinementChecker {
   FrameBitmap audit_marks_;
   // Each capture's drained dirty set, refilled in place.
   DirtySet dirty_;
+  // Wf by induction: the Ψ of the last passed Wf check, and everything
+  // written since (the write set; both keep their capacity between checks).
+  std::optional<AbstractKernel> wf_base_;
+  DirtySet wf_written_;
+  PageAllocator::Writes wf_writes_;
+  // The next Wf check runs TotalWf: no base yet, a log overflowed, or an
+  // audit ran. While it is set there is no write set to keep.
+  bool total_wf_due_ = true;
 };
 
 }  // namespace atmo

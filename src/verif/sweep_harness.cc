@@ -24,6 +24,8 @@ void MergeStats(CheckStats* into, const CheckStats& from) {
   into->wf_ns += from.wf_ns;
   into->audit_ns += from.audit_ns;
   into->wf_checks += from.wf_checks;
+  into->total_wf_runs += from.total_wf_runs;
+  into->local_wf_entries += from.local_wf_entries;
   into->audit_passes += from.audit_passes;
   into->full_abstractions += from.full_abstractions;
   into->delta_abstractions += from.delta_abstractions;

@@ -21,6 +21,7 @@
 #define ATMO_SRC_VSTD_DIRTY_SET_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -48,14 +49,39 @@ struct DirtySet {
   }
   bool Empty() const { return TotalEntries() == 0 && !scheduler && !overflow; }
 
+  // The id vectors of `s`, one per kind.
+  template <typename Self>
+  static auto KindsOf(Self& s) {
+    return std::array{&s.ctnrs, &s.procs, &s.thrds, &s.edpts,
+                      &s.pages, &s.spaces, &s.iommu_domains, &s.rings};
+  }
+
   // Empties every kind, keeping the vectors' capacity.
   void Clear() {
-    for (std::vector<std::uint64_t>* ids :
-         {&ctnrs, &procs, &thrds, &edpts, &pages, &spaces, &iommu_domains, &rings}) {
+    for (std::vector<std::uint64_t>* ids : KindsOf(*this)) {
       ids->clear();
     }
     scheduler = false;
     overflow = false;
+  }
+
+  // Adds `other`'s ids, unsorted; Normalize() sorts and deduplicates.
+  void Append(const DirtySet& other) {
+    auto mine = KindsOf(*this);
+    auto theirs = KindsOf(other);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      // averif-lint: allow(hot-path-alloc) — the checker's write set keeps its capacity between Wf checks, so it grows only past its high-water mark
+      mine[i]->insert(mine[i]->end(), theirs[i]->begin(), theirs[i]->end());
+    }
+    scheduler = scheduler || other.scheduler;
+    overflow = overflow || other.overflow;
+  }
+
+  void Normalize() {
+    for (std::vector<std::uint64_t>* ids : KindsOf(*this)) {
+      std::sort(ids->begin(), ids->end());
+      ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+    }
   }
 };
 

@@ -33,9 +33,10 @@ namespace atmo {
 template <typename K, typename V>
 class SpecMap {
   using Tree = PersistentTree<K, V>;
-  using Entry = typename Tree::Entry;
 
  public:
+  using Entry = typename Tree::Entry;  // std::pair<const K, V>
+
   SpecMap() = default;
   SpecMap(std::initializer_list<Entry> init) {
     for (const Entry& e : init) {
@@ -139,6 +140,15 @@ class SpecMap {
     return Tree::ForEachDifference(a.tree_, b.tree_, [&](const Entry* x, const Entry* y) {
       return may_differ((x != nullptr ? x : y)->first);
     });
+  }
+
+  // Calls visit(in_a, in_b) for every key at which `a` and `b` differ (each
+  // a `const Entry*`, null where that map lacks the key), in no
+  // particular order; stops at the first false. Shared subtrees are skipped,
+  // so the cost is O(|difference| · log n).
+  template <typename Visit>
+  static bool ForEachDifference(const SpecMap& a, const SpecMap& b, Visit visit) {
+    return Tree::ForEachDifference(a.tree_, b.tree_, visit);
   }
 
   // True if `a` and `b` agree everywhere except possibly at `k`.

@@ -1,10 +1,12 @@
-// Seeded violation for the hot-path-alloc rule: a Step-shaped checker whose
-// ATMO_HOT_PATH(hot-path-alloc) root reaches an injected heap allocation
-// through a helper (the static twin of an AllocProbe regression). The two
+// Seeded violations for the hot-path-alloc rule: a Step-shaped checker whose
+// ATMO_HOT_PATH(hot-path-alloc) root reaches injected heap allocations
+// through helpers (the static twin of an AllocProbe regression): a
+// push_back, and a std::make_unique in its template form. The two
 // arena-covered allocations — one under a local ArenaScope in the callee,
 // one whose *call site* sits inside an ArenaScope block in the root — must
 // NOT fire: they land in the spec arena, not the heap.
 
+#include <memory>
 #include <vector>
 
 #include "src/vstd/thread_annotations.h"
@@ -28,6 +30,7 @@ class RefinementChecker {
       AppendSpec(t);  // covered at the call site: allocations land in the arena
     }
     BuildScratch(t);  // the injected allocation: must fire
+    Snapshot();       // the injected make_unique<T>(...): must fire
     return pre;
   }
 
@@ -44,9 +47,14 @@ class RefinementChecker {
     scratch_.push_back(t);  // seeded: uncovered heap allocation on the hot path
   }
 
+  void Snapshot() {
+    snapshot_ = std::make_unique<std::vector<int>>(psi_);  // seeded: template-form allocation
+  }
+
   SpecArena arena_;
   std::vector<int> psi_;
   std::vector<int> scratch_;
+  std::unique_ptr<std::vector<int>> snapshot_;
 };
 
 }  // namespace atmo

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -83,14 +84,18 @@ TEST(AverifLintTest, UnloggedMutatorFires) {
 TEST(AverifLintTest, HotPathAllocFires) {
   std::vector<Finding> findings = Lint(FixtureRoot("hot_path_alloc"));
   std::vector<Finding> hits = WithRule(findings, "hot-path-alloc");
-  // Only the uncovered helper fires; the ArenaScope-covered allocation in
-  // Capture and the covered call site around AppendSpec must not.
-  ASSERT_EQ(hits.size(), 1u) << ToText(findings, false);
+  // Only the uncovered helpers fire: BuildScratch's push_back and
+  // Snapshot's std::make_unique<T>(...); the ArenaScope-covered allocation
+  // in Capture and the covered call site around AppendSpec must not.
+  ASSERT_EQ(hits.size(), 2u) << ToText(findings, false);
   EXPECT_EQ(hits[0].file, "src/verif/refinement_checker.cc");
   EXPECT_NE(hits[0].message.find("RefinementChecker::BuildScratch"), std::string::npos);
   EXPECT_NE(hits[0].message.find("RefinementChecker::Step -> RefinementChecker::BuildScratch"),
             std::string::npos)
       << hits[0].message;
+  EXPECT_NE(hits[1].message.find("(make_unique) in RefinementChecker::Snapshot"),
+            std::string::npos)
+      << hits[1].message;
   EXPECT_EQ(findings.size(), hits.size()) << ToText(findings, false);
   EXPECT_EQ(BinaryExit("--root " + FixtureRoot("hot_path_alloc")), 1);
 }
@@ -218,14 +223,16 @@ TEST(AverifLintTest, SyscallDispatchReachesEveryHandler) {
 TEST(AverifLintTest, HotPathAllocAgreesWithAllocProbe) {
   std::vector<Finding> hits =
       WithRule(Lint(FixtureRoot("hot_path_alloc")), "hot-path-alloc");
-  ASSERT_EQ(hits.size(), 1u);  // static half: the injected push_back is flagged
+  // Static half: the injected push_back and make_unique are flagged.
+  ASSERT_EQ(hits.size(), 2u);
   if (!obs::HeapCountingActive()) {
     GTEST_SKIP() << "ATMO_OBS_DISABLED build: no runtime twin to compare";
   }
   obs::AllocProbe probe;
   std::vector<int> scratch;
-  scratch.push_back(42);  // dynamic half: the same injected allocation
-  EXPECT_GT(probe.allocs(), 0u)
+  scratch.push_back(42);  // dynamic half: the same injected allocations
+  std::unique_ptr<std::vector<int>> snapshot = std::make_unique<std::vector<int>>(scratch);
+  EXPECT_GE(probe.allocs(), 2u)
       << "AllocProbe missed the allocation the lint flagged statically";
 }
 

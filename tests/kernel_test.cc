@@ -663,7 +663,14 @@ TEST_F(KernelTest, CheckerCatchesConcretePageTableCorruption) {
   std::uint64_t leaf = kernel_->mem().HwReadU64(node + VaIndex(0x400000, 1) * 8);
   kernel_->mem_mut().HwWriteU64(node + VaIndex(0x400000, 1) * 8,
                                 (leaf & ~kPteAddrMask) | 0x123000);
-  EXPECT_THROW(Step(thrd_, MakeOp(SysOp::kYield)), CheckViolation);
+  // A raw PTE store is behind every write log, so LocalWf cannot see it;
+  // the TotalWf that runs with the audit does, within audit_every steps.
+  auto step_to_audit = [&] {
+    while (checker_->steps_checked() < checker_->options().audit_every) {
+      Step(thrd_, MakeOp(SysOp::kYield));
+    }
+  };
+  EXPECT_THROW(step_to_audit(), CheckViolation);
 }
 
 // ---------------------------------------------------------------------------

@@ -63,6 +63,94 @@ class SpecMutationTest : public ::testing::Test {
     return out;
   }
 
+  // One genuine successful transition of every op, from a tour that
+  // exercises them all on this fixture's kernel.
+  std::map<SysOp, Captured> SuccessfulTour() {
+    auto p2 = kernel_->BootCreateProcess(ctnr_);
+    auto peer = kernel_->BootCreateThread(p2.value);  // in another address space
+    std::map<SysOp, Captured> tour;
+    auto run = [&](Syscall call, ThrdPtr t = kNullPtr) {
+      Captured c = Run(call, t);
+      if (c.ret.error == SysError::kOk && !tour.contains(call.op)) {
+        tour.emplace(call.op, c);
+      }
+      return c.ret;
+    };
+    auto op = [](SysOp o) {
+      Syscall call;
+      call.op = o;
+      return call;
+    };
+    constexpr VAddr kPageVa = 0x401000;  // stays mapped RW until the grant
+
+    run(op(SysOp::kYield));
+    run(Mmap(0x400000, 2));
+    Syscall munmap = op(SysOp::kMunmap);
+    munmap.va_range = VaRange{0x400000, 1, PageSize::k4K};
+    run(munmap);
+    Syscall nc = op(SysOp::kNewContainer);
+    nc.quota = 16;
+    Syscall kill_container = op(SysOp::kKillContainer);
+    kill_container.target = run(nc).value;
+    Syscall kill_process = op(SysOp::kKillProcess);
+    kill_process.target = run(op(SysOp::kNewProcess)).value;
+    run(kill_process);
+    run(kill_container);
+    ThrdPtr exiting = run(op(SysOp::kNewThread)).value;
+    run(op(SysOp::kExit), exiting);
+
+    Syscall iommu = op(SysOp::kIommuCreateDomain);
+    iommu.iommu_domain = run(iommu).value;
+    iommu.device = 1;
+    iommu.iova = 0x10000;
+    iommu.dma_va = kPageVa;
+    for (SysOp o : {SysOp::kIommuAttachDevice, SysOp::kIommuMapDma, SysOp::kIommuUnmapDma,
+                    SysOp::kIommuDetachDevice}) {
+      iommu.op = o;
+      run(iommu);
+    }
+
+    Syscall ring = op(SysOp::kRingSetup);
+    ring.ring_entries = 4;
+    ring.ring_id = run(ring).value;
+    ring.op = SysOp::kRingSubmit;
+    ring.ring_op = SysOp::kMmap;
+    ring.va_range = VaRange{0x800000, 1, PageSize::k4K};
+    ring.map_perm = kRw;
+    run(ring);
+    Syscall enter = op(SysOp::kRingEnter);
+    enter.ring_id = ring.ring_id;
+    run(enter);
+
+    Syscall query = op(SysOp::kObsQuery);
+    query.va_range = VaRange{kPageVa, 1, PageSize::k4K};
+    run(query);
+
+    // IPC with the peer: a borrowed page it returns, then a call it answers.
+    Syscall ne = op(SysOp::kNewEndpoint);
+    EXPECT_EQ(kernel_->pm_mut().BindEndpoint(peer.value, 0, run(ne).value), ProcError::kOk);
+    run(op(SysOp::kRecv), peer.value);
+    Syscall send = op(SysOp::kSend);
+    send.payload.page = PageGrant{.page = kPageVa,
+                                  .size = PageSize::k4K,
+                                  .dest_va = 0x6000000,
+                                  .perm = MapEntryPerm{.writable = false, .user = true},
+                                  .mode = GrantMode::kBorrow};
+    run(send);
+    Syscall grant_return = op(SysOp::kGrantReturn);
+    grant_return.va_range = VaRange{0x6000000, 1, PageSize::k4K};
+    run(grant_return, peer.value);
+    run(op(SysOp::kRecv), peer.value);
+    run(op(SysOp::kCall));
+    run(op(SysOp::kReply), peer.value);
+    // And a receive that finds its sender waiting.
+    run(op(SysOp::kSend), peer.value);
+    run(op(SysOp::kRecv));
+    run(op(SysOp::kUnbindEndpoint));
+
+    return tour;
+  }
+
   static Syscall Mmap(VAddr base, std::uint64_t count) {
     Syscall call;
     call.op = SysOp::kMmap;
@@ -375,85 +463,7 @@ TEST_F(SpecMutationTest, DispatcherRejectsEveryChangeOnError) {
 TEST_F(SpecMutationTest, DispatcherRejectsBlockedFromEveryNonBlockingOp) {
   // A genuine successful transition of every op outside the may_block
   // column, relabelled as kBlocked, must fail before any other check.
-  auto p2 = kernel_->BootCreateProcess(ctnr_);
-  auto peer = kernel_->BootCreateThread(p2.value);  // in another address space
-  std::map<SysOp, Captured> tour;
-  auto run = [&](Syscall call, ThrdPtr t = kNullPtr) {
-    Captured c = Run(call, t);
-    if (c.ret.error == SysError::kOk && !tour.contains(call.op)) {
-      tour.emplace(call.op, c);
-    }
-    return c.ret;
-  };
-  auto op = [](SysOp o) {
-    Syscall call;
-    call.op = o;
-    return call;
-  };
-  constexpr VAddr kPageVa = 0x401000;  // stays mapped RW until the grant
-
-  run(op(SysOp::kYield));
-  run(Mmap(0x400000, 2));
-  Syscall munmap = op(SysOp::kMunmap);
-  munmap.va_range = VaRange{0x400000, 1, PageSize::k4K};
-  run(munmap);
-  Syscall nc = op(SysOp::kNewContainer);
-  nc.quota = 16;
-  Syscall kill_container = op(SysOp::kKillContainer);
-  kill_container.target = run(nc).value;
-  Syscall kill_process = op(SysOp::kKillProcess);
-  kill_process.target = run(op(SysOp::kNewProcess)).value;
-  run(kill_process);
-  run(kill_container);
-  ThrdPtr exiting = run(op(SysOp::kNewThread)).value;
-  run(op(SysOp::kExit), exiting);
-
-  Syscall iommu = op(SysOp::kIommuCreateDomain);
-  iommu.iommu_domain = run(iommu).value;
-  iommu.device = 1;
-  iommu.iova = 0x10000;
-  iommu.dma_va = kPageVa;
-  for (SysOp o : {SysOp::kIommuAttachDevice, SysOp::kIommuMapDma, SysOp::kIommuUnmapDma,
-                  SysOp::kIommuDetachDevice}) {
-    iommu.op = o;
-    run(iommu);
-  }
-
-  Syscall ring = op(SysOp::kRingSetup);
-  ring.ring_entries = 4;
-  ring.ring_id = run(ring).value;
-  ring.op = SysOp::kRingSubmit;
-  ring.ring_op = SysOp::kMmap;
-  ring.va_range = VaRange{0x800000, 1, PageSize::k4K};
-  ring.map_perm = kRw;
-  run(ring);
-  Syscall enter = op(SysOp::kRingEnter);
-  enter.ring_id = ring.ring_id;
-  run(enter);
-
-  Syscall query = op(SysOp::kObsQuery);
-  query.va_range = VaRange{kPageVa, 1, PageSize::k4K};
-  run(query);
-
-  // IPC with the peer: a borrowed page it returns, then a call it answers.
-  Syscall ne = op(SysOp::kNewEndpoint);
-  ASSERT_EQ(kernel_->pm_mut().BindEndpoint(peer.value, 0, run(ne).value), ProcError::kOk);
-  run(op(SysOp::kRecv), peer.value);
-  Syscall send = op(SysOp::kSend);
-  send.payload.page = PageGrant{.page = kPageVa,
-                                .size = PageSize::k4K,
-                                .dest_va = 0x6000000,
-                                .perm = MapEntryPerm{.writable = false, .user = true},
-                                .mode = GrantMode::kBorrow};
-  run(send);
-  Syscall grant_return = op(SysOp::kGrantReturn);
-  grant_return.va_range = VaRange{0x6000000, 1, PageSize::k4K};
-  run(grant_return, peer.value);
-  run(op(SysOp::kRecv), peer.value);
-  run(op(SysOp::kCall));
-  run(op(SysOp::kReply), peer.value);
-  run(op(SysOp::kUnbindEndpoint));
-
+  std::map<SysOp, Captured> tour = SuccessfulTour();
   std::size_t cells = 0;
   for (std::size_t i = 0; i < kSysOpCount; ++i) {
     SysOp o = static_cast<SysOp>(i);
@@ -470,6 +480,35 @@ TEST_F(SpecMutationTest, DispatcherRejectsBlockedFromEveryNonBlockingOp) {
     ++cells;
   }
   EXPECT_EQ(cells, kSysOpCount - 3);
+}
+
+TEST_F(SpecMutationTest, DispatcherRejectsAWrongValueFromEveryStatelessValueClass) {
+  // A genuine successful transition of every op whose value column needs
+  // no state (kZero, kPageCount, kRecordSize), relabelled with a kernel
+  // address as its value, must fail on the value class.
+  std::map<SysOp, Captured> tour = SuccessfulTour();
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < kSysOpCount; ++i) {
+    SysOp o = static_cast<SysOp>(i);
+    SysValue value = ReturnValueClass(o);
+    // kCall blocks for its reply on every path that does not fail, so it
+    // has no successful transition to relabel.
+    if ((value != SysValue::kZero && value != SysValue::kPageCount &&
+         value != SysValue::kRecordSize) ||
+        o == SysOp::kCall) {
+      continue;
+    }
+    auto it = tour.find(o);
+    ASSERT_NE(it, tour.end()) << "no successful " << SysOpName(o) << " in the tour";
+    const Captured& c = it->second;
+    ASSERT_TRUE(GuardedSyscallSpec(c.pre, c.post, c.t, c.call, c.ret).ok) << SysOpName(o);
+    SyscallRet wrong{SysError::kOk, c.ret.value + thrd_};
+    SpecResult r = GuardedSyscallSpec(c.pre, c.post, c.t, c.call, wrong);
+    EXPECT_FALSE(r.ok) << SysOpName(o) << " accepted a wrong value";
+    EXPECT_EQ(r.detail, std::string(SysOpName(o)) + " return value is outside its class");
+    ++cells;
+  }
+  EXPECT_EQ(cells, 16u);  // 13 kZero, 2 kPageCount, 1 kRecordSize
 }
 
 // ---------------------------------------------------------------------------

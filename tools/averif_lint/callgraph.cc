@@ -441,6 +441,24 @@ const std::set<std::string>& AllocMethods() {
   return m;
 }
 
+// The position just past the template argument list that opens at
+// `open` (a '<'), counting nested '<' and '>'; `end` when it does not close
+// before a statement boundary.
+std::size_t SkipTemplateArgs(const std::string& code, std::size_t open, std::size_t end) {
+  int depth = 0;
+  for (std::size_t j = open; j < end; ++j) {
+    char c = code[j];
+    if (c == '<') {
+      ++depth;
+    } else if (c == '>' && --depth == 0) {
+      return j + 1;
+    } else if (c == ';' || c == '{' || c == '}') {
+      break;
+    }
+  }
+  return end;
+}
+
 const std::set<std::string>& AllocCalls() {
   static const std::set<std::string> m = {"malloc",       "calloc",
                                           "realloc",      "aligned_alloc",
@@ -576,6 +594,11 @@ void Project::AnalyzeBody(int fn_index) {
     std::string w = IdentAt(code, i);
     std::size_t after = i + w.size();
     std::size_t k = SkipWs(code, after);
+    if (k < end && code[k] == '<' && AllocCalls().count(w) != 0) {
+      // An allocation function's template form, `make_unique<T>(...)`:
+      // the call's paren follows a balanced template argument list.
+      k = SkipWs(code, SkipTemplateArgs(code, k, end));
+    }
     bool is_call = k < end && code[k] == '(';
 
     if (w == "new") {

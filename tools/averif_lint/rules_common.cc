@@ -182,11 +182,13 @@ const std::vector<Subsystem>& Subsystems() {
   // happens under a VmManager/IommuManager call that logs the owning
   // proc/domain (the "logged-by-caller" pattern, see vm_manager.h).
   static const std::vector<Subsystem> subsystems = {
+      // The allocator records through its write path (Write, WriteList,
+      // RecordGroup, RecordRegion), whose records are its dirty set.
       {"PageAllocator",
        "src/pmem/page_allocator.h",
        "src/pmem/page_allocator.cc",
-       {"dirty_.Mark", "dirty_.DrainInto"},
-       {"DrainDirtyInto"}},
+       {"Write(", "WriteList(", "RecordGroup(", "RecordRegion("},
+       {"DrainWrites"}},
       {"VmManager",
        "src/core/vm_manager.h",
        "src/core/vm_manager.cc",
