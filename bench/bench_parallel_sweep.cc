@@ -5,9 +5,9 @@
 // shard, seeds split from one master seed) runs at 1/2/4/8 workers and we
 // report aggregate checked-steps/s. Shards share no mutable state, so
 // throughput should scale with cores until the machine runs out of them;
-// on a 1-vCPU host the curve is ~flat and the scaling thresholds are
-// informational. Every configuration must produce the bit-identical merged
-// report — that part is enforced on any host. Writes a machine-readable
+// on a 1-vCPU host the curve is ~flat. Every configuration must produce the
+// bit-identical merged report; the exit code enforces that on any host.
+// The 4-worker scaling gate lives in ci/run_tests.sh. Writes a machine-readable
 // summary to BENCH_parallel_sweep.json.
 
 #include <cstdio>
@@ -140,22 +140,14 @@ int main() {
   if (!deterministic || !all_ok) {
     return 1;
   }
-  // Scaling threshold only binds where the hardware can possibly deliver it
-  // (≥4 CPUs actually schedulable by this process) and at full op counts; a
-  // 1-vCPU host legitimately reports ~flat scaling.
-  if (host_cpus >= 4 && !quick) {
-    bool ok = speedup_4w >= 3.0;
-    std::printf("speedup at 4 workers: %.2fx (threshold 3x)  %s\n", speedup_4w,
-                ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-  }
+  // The scaling gate (ci/perf_floors.json min_speedup_4w) is applied by
+  // ci/run_tests.sh to a full-mode run on a host with at least 4 CPUs; a
+  // quick-mode run is too short to resolve it, and on one CPU the workers
+  // time-slice one core.
   if (host_cpus == 1) {
     std::printf(
-        "scaling threshold skipped: 1 CPU available, workers time-slice one core "
+        "scaling not gated: 1 CPU available, workers time-slice one core "
         "(scaling_valid=false in BENCH_parallel_sweep.json)\n");
-  } else {
-    std::printf("scaling threshold skipped (%u CPUs available%s)\n", host_cpus,
-                quick ? ", quick mode" : "");
   }
   return 0;
 }

@@ -152,7 +152,27 @@ for what, key, growth_key, cap_key in (
                  f"(max {cap}x; {rows})")
     print(f"frames sweep OK ({what} {rows}; growth {growth:.2f}x <= {cap}x)")
 EOF
-ATMO_BENCH_QUICK=1 ./build-ci/bench/bench_parallel_sweep
+# The parallel sweep runs in full mode (under a second on 4 CPUs): quick
+# mode runs each configuration for about 50 ms, too short to resolve its
+# scaling. On a host with at least 4 CPUs the 4-worker speedup must reach
+# min_speedup_4w; full-mode runs on a shared 4-CPU host read 2.41-3.48, so
+# the floor sits below the lowest and catches lost parallelism (shards
+# serialized on a lock read about 1x), not host noise.
+./build-ci/bench/bench_parallel_sweep
+python3 - <<'EOF'
+import json, sys
+report = json.load(open("BENCH_parallel_sweep.json"))
+floor = json.load(open("ci/perf_floors.json"))["parallel_sweep"]["min_speedup_4w"]
+speedup = report["speedup_4w"]
+if report["quick"] or report["host_cpus"] < 4:
+    print(f"parallel sweep: speedup_4w {speedup:.2f}x not gated "
+          f"(quick={report['quick']}, {report['host_cpus']} CPUs)")
+elif speedup < floor:
+    sys.exit(f"bench_parallel_sweep: 4-worker speedup {speedup:.2f}x < {floor}x "
+             f"on {report['host_cpus']} CPUs")
+else:
+    print(f"parallel sweep OK (speedup_4w {speedup:.2f}x >= {floor}x)")
+EOF
 ATMO_BENCH_QUICK=1 ./build-ci/bench/bench_table3_syscall_latency
 # The syscall-latency gate must emit parseable JSON that says the flatness
 # requirements held (map-2M and alloc-1G medians flat across machine sizes).

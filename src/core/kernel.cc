@@ -1203,12 +1203,13 @@ void SetIfChanged(SpecMap<K, V>* m, const K& k, const V& v) {
 }
 
 // The abstraction function, one collection component of Ψ at a time: calls
-// component(name, &AbstractKernel::field, produce) in declaration order,
-// where `produce` streams the component's entries from concrete state in
-// ascending key order (src/vstd/persistent_tree.h), and stops at the first
-// false. Abstract() builds each component from its stream; the audit
-// compares each cached component with it. `marks` is the free-page
-// streams' scratch.
+// component(name, &AbstractKernel::field, source) in declaration order, and
+// stops at the first false. For a SpecMap component `source` streams its
+// entries from concrete state in ascending key order
+// (src/vstd/persistent_tree.h); for a free set (a FrameSet) it is the
+// size class's free list marked into `marks`
+// (PageAllocator::MarkFreeList). Abstract() builds each component from its
+// source; the audit compares each cached component with it.
 template <typename Component>
 bool ForEachComponent(const Kernel& k, FrameBitmap* marks, Component component) {
   const ProcessManager& pm = k.pm();
@@ -1224,8 +1225,9 @@ bool ForEachComponent(const Kernel& k, FrameBitmap* marks, Component component) 
       return true;
     };
   };
-  auto free_pages = [&alloc, marks](PageSize size) {
-    return [&alloc, marks, size](auto emit) { return alloc.ForEachFreePage(size, marks, emit); };
+  auto free_pages = [&alloc, marks](PageSize size) -> const FrameBitmap& {
+    alloc.MarkFreeList(size, marks);
+    return *marks;
   };
   return component("containers", &AbstractKernel::containers,
                    objects(pm.cntr_perms(), AbstractContainer)) &&
@@ -1277,9 +1279,13 @@ AbstractKernel Kernel::Abstract() const {
   AbstractKernel a;
   a.root_container = pm_.root_container();
   FrameBitmap marks;
-  ForEachComponent(*this, &marks, [&a](const char*, auto field, auto produce) {
+  ForEachComponent(*this, &marks, [&a](const char*, auto field, const auto& source) {
     using Collection = std::remove_reference_t<decltype(a.*field)>;
-    a.*field = Collection::FromSorted(produce);
+    if constexpr (std::is_same_v<Collection, FrameSet>) {
+      a.*field = FrameSet::FromBitmap(source);
+    } else {
+      a.*field = Collection::FromSorted(source);
+    }
     return true;
   });
   a.run_queue = RunQueueView(pm_);
@@ -1292,12 +1298,17 @@ const char* Kernel::AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* 
     return "root_container";
   }
   const char* mismatch = nullptr;
-  ForEachComponent(*this, marks, [&](const char* name, auto field, auto produce) {
-    if ((psi.*field).EqualsSorted(produce)) {
-      return true;
+  ForEachComponent(*this, marks, [&](const char* name, auto field, const auto& source) {
+    bool equal;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(psi.*field)>, FrameSet>) {
+      equal = (psi.*field).EqualsBitmap(source);
+    } else {
+      equal = (psi.*field).EqualsSorted(source);
     }
-    mismatch = name;
-    return false;
+    if (!equal) {
+      mismatch = name;
+    }
+    return equal;
   });
   if (mismatch != nullptr) {
     return mismatch;
@@ -1626,9 +1637,12 @@ std::int64_t DeltaOf(const Deltas& deltas, std::uint64_t key) {
 // The objects whose per-object predicates LocalWf re-checks: the written
 // ones and every object a relation ties to one of them, at either end, in
 // the base state or now. A relation with no written end holds by Wf(base).
-ObjectScope LocalScope(const ProcessManager& pm, const AbstractKernel& base,
-                       const DirtySet& written) {
-  ObjectScope scope;
+void LocalScope(const ProcessManager& pm, const AbstractKernel& base, const DirtySet& written,
+                ObjectScope* out) {
+  ObjectScope& scope = *out;
+  for (std::vector<std::uint64_t>* ids : {&scope.ctnrs, &scope.procs, &scope.thrds, &scope.edpts}) {
+    ids->clear();
+  }
   auto add = [](std::vector<std::uint64_t>* ids, std::uint64_t id) {
     if (id != kNullPtr) {
       ids->push_back(id);
@@ -1715,16 +1729,17 @@ ObjectScope LocalScope(const ProcessManager& pm, const AbstractKernel& base,
   for (std::vector<std::uint64_t>* ids : {&scope.ctnrs, &scope.procs, &scope.thrds, &scope.edpts}) {
     SortUnique(ids);
   }
-  return scope;
 }
 
 }  // namespace
 
 InvResult Kernel::LocalWf(const AbstractKernel& base, const DirtySet& written,
-                          const PageAllocator::Writes& writes, std::uint64_t* entries) const {
+                          const PageAllocator::Writes& writes, LocalWfScratch* scratch,
+                          std::uint64_t* entries) const {
   // Process manager: per-object predicates over the scope, and relations
   // from their scoped end; the scheduler clause reads the run queue.
-  const ObjectScope scope = LocalScope(pm_, base, written);
+  LocalScope(pm_, base, written, &scratch->scope);
+  const ObjectScope& scope = scratch->scope;
   *entries += scope.ctnrs.size() + scope.procs.size() + scope.thrds.size() + scope.edpts.size();
   InvResult r = ProcessManagerWf(pm_, &scope);
   if (!r.ok) {
@@ -1774,7 +1789,8 @@ InvResult Kernel::LocalWf(const AbstractKernel& base, const DirtySet& written,
           static_cast<std::int64_t>(PageFrames4K(alloc_.SizeClassOf(page))));
     }
   }
-  std::vector<CtnrPtr> charged = written.ctnrs;
+  std::vector<CtnrPtr>& charged = scratch->charged;
+  charged.assign(written.ctnrs.begin(), written.ctnrs.end());
   for (const auto& [owner, delta] : charged_delta) {
     charged.push_back(owner);
   }
@@ -1806,7 +1822,7 @@ InvResult Kernel::LocalWf(const AbstractKernel& base, const DirtySet& written,
     return InvResult::Fail("total container quota differs from boot reservation");
   }
 
-  if (const char* clause = alloc_.LocalWf(writes, entries)) {
+  if (const char* clause = alloc_.LocalWf(writes, &scratch->free_run, entries)) {
     return InvResult::Fail(std::string("page allocator ill-formed: ") + clause);
   }
 
@@ -1901,7 +1917,8 @@ InvResult Kernel::LocalWf(const AbstractKernel& base, const DirtySet& written,
   // The frames whose closure membership, allocator state or tally may have
   // moved: written frames, written objects' pages, written tables' nodes
   // and mapping targets.
-  std::vector<PagePtr> frames;
+  std::vector<PagePtr>& frames = scratch->frames;
+  frames.clear();
   for (const PageAllocator::FrameRecord& rec : writes.frames) {
     frames.push_back(rec.frame * kPageSize4K);
   }

@@ -36,6 +36,16 @@ struct BootConfig {
   std::uint64_t reserved_frames = 16;  // kernel image / boot structures
 };
 
+// Kernel::LocalWf's working storage. Each check clears it and keeps its
+// capacity, so a caller that keeps one (the refinement checker) makes no
+// heap allocation for it once the vectors have grown to the checks' size.
+struct LocalWfScratch {
+  ObjectScope scope;              // the objects the check re-checks
+  std::vector<CtnrPtr> charged;   // containers whose charged frames moved
+  std::vector<PagePtr> frames;    // frames the memory-safety clauses re-check
+  std::vector<std::uint64_t> free_run;  // PageAllocator::LocalWf's head run
+};
+
 class Kernel {
  public:
   static std::optional<Kernel> Boot(const BootConfig& config);
@@ -105,10 +115,12 @@ class Kernel {
   // Abstraction function: concrete state -> Ψ.
   AbstractKernel Abstract() const;
   // The refinement audit: decides psi == Abstract() without building Ψ, by
-  // comparing each component of psi with the stream Abstract() builds it
-  // from (one ordered pass over both). Returns the name of the first
-  // component that differs, or nullptr when they are equal. `marks` is
-  // scratch, kept by the caller so repeated audits do not allocate.
+  // comparing each component of psi with the source Abstract() builds it
+  // from: a map with its ascending stream (one ordered pass over both), a
+  // free set with its marked free list (word by word). Returns the name of
+  // the first component that differs, or nullptr when they are equal.
+  // `marks` is scratch, kept by the caller so repeated audits do not
+  // allocate.
   const char* AbstractionMismatch(const AbstractKernel& psi, FrameBitmap* marks) const;
   // Drains every subsystem's mutation log into `out` (cleared first, its
   // capacity kept): the set of objects whose abstract view may differ from
@@ -134,8 +146,11 @@ class Kernel {
   // (written frames and their neighbours, objects, mappings) to `*entries`.
   // Writes behind every log (raw PTE stores, test peers) are TotalWf's and
   // the audit's to find.
+  // `scratch` is working storage the caller keeps between checks, so that
+  // a check allocates nothing on the heap once its vectors are warm.
   InvResult LocalWf(const AbstractKernel& base, const DirtySet& written,
-                    const PageAllocator::Writes& writes, std::uint64_t* entries) const;
+                    const PageAllocator::Writes& writes, LocalWfScratch* scratch,
+                    std::uint64_t* entries) const;
   // Global memory argument alone: subsystem page closures are pairwise
   // disjoint and their union is exactly the allocator's allocated set;
   // mapped frames are exactly the VM subsystem's held frames.

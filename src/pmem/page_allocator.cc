@@ -5,6 +5,7 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/vstd/check.h"
+#include "src/vstd/frame_set.h"
 
 namespace atmo {
 
@@ -629,10 +630,32 @@ void PageAllocator::SetOwner(PagePtr ptr, CtnrPtr owner) {
 
 std::uint64_t PageAllocator::FreeCount(PageSize size) const { return ListFor(size).count; }
 
+void PageAllocator::MarkFreeList(PageSize size, FrameBitmap* marks) const {
+  marks->assign((meta_.size() + 63) / 64, 0);
+  std::uint64_t* bits = marks->data();
+  std::uint64_t cur = ListFor(size).head;
+  for (; cur < meta_.size(); cur = meta_[cur].next) {
+    const std::uint64_t bit = std::uint64_t{1} << (cur % 64);
+    if ((bits[cur / 64] & bit) != 0) {
+      break;  // the list cycles back: the rest is already marked
+    }
+    bits[cur / 64] |= bit;
+  }
+  ATMO_CHECK(cur == kNilFrame || cur < meta_.size(), "free list links outside the frame array");
+}
+
 SpecSet<PagePtr> PageAllocator::FreePages(PageSize size) const {
   FrameBitmap marks;
-  return SpecSet<PagePtr>::FromSorted(
-      [&](auto emit) { return ForEachFreePage(size, &marks, emit); });
+  MarkFreeList(size, &marks);
+  const FrameSet free = FrameSet::FromBitmap(marks);
+  return SpecSet<PagePtr>::FromSorted([&free](auto emit) {
+    for (PagePtr page : free) {
+      if (!emit(page)) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
 
 SpecSet<PagePtr> PageAllocator::AllocatedPages() const {
@@ -1037,6 +1060,7 @@ const char* PageAllocator::LocalFrameWf(std::uint64_t frame, const PageMeta& bef
 }
 
 const char* PageAllocator::LocalListWf(PageSize size, const Writes& writes,
+                                       std::vector<std::uint64_t>* head_run,
                                        std::uint64_t* entries) const {
   // The list is old list minus the frames that left it, with the frames
   // that joined pushed at its head. A frame that left and came back (popped,
@@ -1069,7 +1093,8 @@ const char* PageAllocator::LocalListWf(PageSize size, const Writes& writes,
   }
 
   // The head run: recorded members from the head, prev links checked.
-  std::vector<std::uint64_t> run;
+  std::vector<std::uint64_t>& run = *head_run;
+  run.clear();
   std::uint64_t after_run = now.head;
   while (after_run != kNilFrame && run.size() <= recs.size()) {
     if (after_run >= meta_.size()) {
@@ -1158,7 +1183,8 @@ const char* PageAllocator::LocalListWf(PageSize size, const Writes& writes,
   return "free-list links";
 }
 
-const char* PageAllocator::LocalWf(const Writes& writes, std::uint64_t* entries) const {
+const char* PageAllocator::LocalWf(const Writes& writes, std::vector<std::uint64_t>* run,
+                                   std::uint64_t* entries) const {
   const std::vector<FrameRecord>& recs = writes.frames;
   auto before = [&](std::uint64_t frame) -> const PageMeta& {
     const FrameRecord* r = writes.Find(frame);
@@ -1185,7 +1211,7 @@ const char* PageAllocator::LocalWf(const Writes& writes, std::uint64_t* entries)
     }
   }
   for (PageSize size : {PageSize::k4K, PageSize::k2M, PageSize::k1G}) {
-    if (const char* clause = LocalListWf(size, writes, entries)) {
+    if (const char* clause = LocalListWf(size, writes, run, entries)) {
       return clause;
     }
   }

@@ -25,7 +25,6 @@
 #ifndef ATMO_SRC_PMEM_PAGE_ALLOCATOR_H_
 #define ATMO_SRC_PMEM_PAGE_ALLOCATOR_H_
 
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -48,9 +47,9 @@ enum class PageState : std::uint8_t {
 
 const char* PageStateName(PageState state);
 
-// One bit per frame: the scratch the free-page streams mark a free list
-// into and read back in frame order. A stream that returns leaves it all
-// clear, so a caller that streams repeatedly keeps one and allocates once.
+// One bit per frame (bit b of word w is frame 64w + b): what a free list is
+// marked into (PageAllocator::MarkFreeList). A caller that marks repeatedly
+// keeps one and allocates once.
 using FrameBitmap = std::vector<std::uint64_t>;
 
 // Result of an allocation: the page's base address plus the linear frame
@@ -139,19 +138,19 @@ class PageAllocator {
   // All 4 KiB frame base addresses covered by allocated+mapped+merged pages.
   SpecSet<PagePtr> InUseFrames() const;
 
-  // The O(frames) ghost views as ascending streams, their one definition:
-  // each calls emit(ptr) once per member in increasing order, stops as soon
-  // as emit returns false, and returns whether it ran to the end (the
-  // stream contract of src/vstd/persistent_tree.h). The views above are
-  // built from them; consumers that only compare or tally a view (the
-  // refinement audit, Wf) read the stream instead of building the view.
+  // Free pages of `size`, their one definition: the members of that size
+  // class's free list (list membership, not the frames' recorded states),
+  // marked into `marks`, which is first cleared and sized to the machine
+  // (its capacity kept). A cyclic list ends where it closes.
+  void MarkFreeList(PageSize size, FrameBitmap* marks) const;
+
+  // The other O(frames) ghost views as ascending streams, their one
+  // definition: each calls emit(ptr) once per member in increasing order,
+  // stops as soon as emit returns false, and returns whether it ran to the
+  // end (the stream contract of src/vstd/persistent_tree.h). The views
+  // above are built from them; consumers that only compare or tally a view
+  // (the refinement audit, Wf) read the stream instead of building the view.
   //
-  // Free pages of `size` are the members of that size class's free list
-  // (list membership, not the frames' recorded states): the list is marked
-  // into `marks` and read back in frame order. A cyclic list ends where it
-  // closes.
-  template <typename Emit>
-  bool ForEachFreePage(PageSize size, FrameBitmap* marks, Emit emit) const;
   // Unit bases in `state` (kAllocated, kMapped, ...).
   template <typename Emit>
   bool ForEachPageIn(PageState state, Emit emit) const;
@@ -247,8 +246,10 @@ class PageAllocator {
   // write since (KeepOldest applied), decides Wf() reading only the
   // recorded objects, their old and new free-list neighbours and the unit
   // heads that cover them. Returns the failed clause, or nullptr; adds the
-  // metadata entries read to `*entries`.
-  const char* LocalWf(const Writes& writes, std::uint64_t* entries) const;
+  // metadata entries read to `*entries`. `run` is scratch for each list's
+  // head run, kept by the caller with its capacity.
+  const char* LocalWf(const Writes& writes, std::vector<std::uint64_t>* run,
+                      std::uint64_t* entries) const;
 
   // Deep copy for the verification harness, with an empty write log.
   PageAllocator CloneForVerification() const;
@@ -317,7 +318,8 @@ class PageAllocator {
   const char* LocalFrameWf(std::uint64_t frame, const PageMeta& before,
                            std::uint64_t* entries) const;
   // LocalWf's free-list obligation for one size class.
-  const char* LocalListWf(PageSize size, const Writes& writes, std::uint64_t* entries) const;
+  const char* LocalListWf(PageSize size, const Writes& writes, std::vector<std::uint64_t>* run,
+                          std::uint64_t* entries) const;
 
   std::uint64_t reserved_frames_;
   std::vector<PageMeta> meta_;
@@ -337,34 +339,6 @@ class PageAllocator {
   std::vector<std::uint8_t> region_recorded_;
   std::uint8_t list_recorded_[3] = {0, 0, 0};
 };
-
-template <typename Emit>
-bool PageAllocator::ForEachFreePage(PageSize size, FrameBitmap* marks, Emit emit) const {
-  const std::size_t words = (meta_.size() + 63) / 64;
-  if (marks->size() < words) {
-    marks->resize(words);
-  }
-  std::uint64_t* bits = marks->data();
-  std::uint64_t cur = ListFor(size).head;
-  for (; cur < meta_.size(); cur = meta_[cur].next) {
-    const std::uint64_t bit = std::uint64_t{1} << (cur % 64);
-    if ((bits[cur / 64] & bit) != 0) {
-      break;  // the list cycles back: the rest is already marked
-    }
-    bits[cur / 64] |= bit;
-  }
-  // Read back in frame order; every word is cleared, after an early stop too.
-  bool complete = true;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t word = std::exchange(bits[w], 0);
-    while (complete && word != 0) {
-      complete = emit(PtrOf(w * 64 + static_cast<std::uint64_t>(std::countr_zero(word))));
-      word &= word - 1;
-    }
-  }
-  ATMO_CHECK(cur == kNilFrame || cur < meta_.size(), "free list links outside the frame array");
-  return complete;
-}
 
 template <typename Emit>
 bool PageAllocator::ForEachPageIn(PageState state, Emit emit) const {

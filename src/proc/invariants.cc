@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/vstd/spec_map.h"
+#include "src/vstd/spec_set.h"
 
 namespace atmo {
 
@@ -379,7 +380,9 @@ InvResult SchedulerWf(const ProcessManager& pm) {
       return InvResult::Fail("current thread is not running");
     }
   }
-  std::map<ThrdPtr, int> seen;
+  // A spec set, so that under the checker's ArenaScope it lives in its
+  // arena.
+  SpecSet<ThrdPtr> seen;
   for (ThrdPtr t_ptr : pm.run_queue()) {
     if (!thrds.contains(t_ptr)) {
       return InvResult::Fail("run queue holds dead thread " + Hex(t_ptr));
@@ -387,9 +390,10 @@ InvResult SchedulerWf(const ProcessManager& pm) {
     if (thrds.Get(t_ptr).state != ThreadState::kRunnable) {
       return InvResult::Fail("run queue holds non-runnable thread " + Hex(t_ptr));
     }
-    if (++seen[t_ptr] > 1) {
+    if (seen.contains(t_ptr)) {
       return InvResult::Fail("run queue holds duplicate thread " + Hex(t_ptr));
     }
+    seen.add(t_ptr);
   }
   return InvResult{};
 }

@@ -21,6 +21,7 @@
 #include "src/ipc/message.h"
 #include "src/pmem/page_allocator.h"
 #include "src/proc/objects.h"
+#include "src/vstd/frame_set.h"
 #include "src/vstd/spec_map.h"
 #include "src/vstd/spec_seq.h"
 #include "src/vstd/spec_set.h"
@@ -133,11 +134,12 @@ struct AbstractKernel {
   // refinement checkers.
   SpecMap<ProcPtr, SpecMap<VAddr, MapEntry>> address_spaces;
   // Allocator view: in-use unit pages (allocated + mapped) and the free
-  // sets per size class.
+  // sets per size class. The free sets hold most of the machine's frames,
+  // so they are bitmaps (src/vstd/frame_set.h), not treaps.
   SpecMap<PagePtr, AbsPageInfo> pages;
-  SpecSet<PagePtr> free_pages_4k;
-  SpecSet<PagePtr> free_pages_2m;
-  SpecSet<PagePtr> free_pages_1g;
+  FrameSet free_pages_4k;
+  FrameSet free_pages_2m;
+  FrameSet free_pages_1g;
   // IOMMU view.
   SpecMap<std::uint64_t, AbsIommuDomain> iommu_domains;
   // Syscall rings.

@@ -69,7 +69,8 @@ void RefinementChecker::CheckWf(SysOp op) {
     }
     wf_written_.Normalize();
     wf_writes_.KeepOldest();
-    return kernel_->LocalWf(*wf_base_, wf_written_, wf_writes_, &stats_.local_wf_entries);
+    return kernel_->LocalWf(*wf_base_, wf_written_, wf_writes_, &local_wf_scratch_,
+                            &stats_.local_wf_entries);
   }();
   stats_.wf_ns += NowNs() - t0;
   ++stats_.wf_checks;

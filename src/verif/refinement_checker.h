@@ -146,6 +146,7 @@ class RefinementChecker {
   std::optional<AbstractKernel> wf_base_;
   DirtySet wf_written_;
   PageAllocator::Writes wf_writes_;
+  LocalWfScratch local_wf_scratch_;
   // The next Wf check runs TotalWf: no base yet, a log overflowed, or an
   // audit ran. While it is set there is no write set to keep.
   bool total_wf_due_ = true;

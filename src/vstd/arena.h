@@ -334,6 +334,59 @@ inline const std::shared_ptr<SpecArena>& SpecArena::Current() {
   return ArenaScope::MutableCurrent();
 }
 
+// Where a write to a persistent structure (PersistentTree, FrameSet) places
+// its new nodes, resolved once per write. A structure that owns its root
+// alone keeps growing where the root lives: the arena it was built in, or
+// the heap. Any other write (shared or empty root) lands in the current
+// scope's arena, or the heap. A pool found through the root is referenced
+// for the write's duration: the write may free the root before it
+// allocates its last node.
+class NodePlacement {
+ public:
+  // `root` is the structure's root node (null when it is empty), `unique`
+  // whether the structure alone holds it, and `in_arena` whether Allocate
+  // placed it in a pool.
+  NodePlacement(const void* root, bool unique, bool in_arena) {
+    if (root != nullptr && unique) {
+      if (in_arena) {
+        pool_ = SpecArena::PoolOf(root);
+        pinned_ = pool_ != nullptr;
+      }
+    } else if (const auto& arena = SpecArena::Current()) {
+      pool_ = arena->pool();  // the scope keeps the arena alive
+    }
+    if (pinned_) {
+      pool_->Ref();
+    }
+  }
+  ~NodePlacement() {
+    if (pinned_) {
+      pool_->Unref();
+    }
+  }
+  NodePlacement(const NodePlacement&) = delete;
+  NodePlacement& operator=(const NodePlacement&) = delete;
+
+  SpecArena::Pool* pool() const { return pool_; }
+
+  // A node of `bytes` from `pool`, or from the heap when it is null. The
+  // node must remember which (in_arena = pool != null) to be freed.
+  static void* Allocate(SpecArena::Pool* pool, std::size_t bytes) {
+    return pool != nullptr ? SpecArena::AllocateFrom(pool, bytes) : ::operator new(bytes);
+  }
+  static void Free(void* node, bool in_arena) {
+    if (in_arena) {
+      SpecArena::Deallocate(node);
+    } else {
+      ::operator delete(node);
+    }
+  }
+
+ private:
+  SpecArena::Pool* pool_ = nullptr;
+  bool pinned_ = false;
+};
+
 // Minimal-interface allocator routing through the thread's current arena at
 // construction time (captured, so a container keeps drawing from — and
 // keeps alive — the arena it was born under even after the scope ends).

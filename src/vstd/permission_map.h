@@ -107,6 +107,7 @@ class PermissionMap {
   {
     PermissionMap out;
     for (const auto& [ptr, perm] : rep_) {
+      // averif-lint: allow(hot-path-alloc) — reached from ExecBatch only by the kRingDrainAtomic snapshot, an O(state) copy by design that only atomic rings take (TraceGen and tests)
       out.rep_.emplace_hint(out.rep_.end(), ptr, perm.CloneForVerification());
     }
     return out;

@@ -123,7 +123,7 @@ class PersistentTree {
         return;
       }
     }
-    Placement place(root_);
+    NodePlacement place = PlaceFor(root_);
     bool added = false;
     root_ = InsertAt(root_, /*owned=*/true, Priority(k), place.pool(), &added, k, v...);
     size_ += added ? 1 : 0;
@@ -134,7 +134,7 @@ class PersistentTree {
     if (Find(k) == nullptr) {
       return;
     }
-    Placement place(root_);
+    NodePlacement place = PlaceFor(root_);
     root_ = EraseAt(root_, k, place.pool());
     --size_;
   }
@@ -313,56 +313,22 @@ class PersistentTree {
     }
   }
 
-  // Where a write's new nodes go, resolved once per write. A tree that owns
-  // its root alone keeps growing where the root lives; any other write
-  // (shared or empty root) lands in the current scope's arena, or the heap.
-  // A pool found through the root is referenced for the write's duration:
-  // the write may free the root before it allocates its last node.
-  class Placement {
-   public:
-    explicit Placement(const Node* root) {
-      if (root != nullptr && Unique(root)) {
-        if (root->arena_block) {
-          pool_ = SpecArena::PoolOf(root);
-          pinned_ = pool_ != nullptr;
-        }
-      } else if (const auto& arena = SpecArena::Current()) {
-        pool_ = arena->pool();  // the scope keeps the arena alive
-      }
-      if (pinned_) {
-        pool_->Ref();
-      }
-    }
-    ~Placement() {
-      if (pinned_) {
-        pool_->Unref();
-      }
-    }
-    Placement(const Placement&) = delete;
-    Placement& operator=(const Placement&) = delete;
-
-    SpecArena::Pool* pool() const { return pool_; }
-
-   private:
-    SpecArena::Pool* pool_ = nullptr;
-    bool pinned_ = false;
-  };
+  // Where a write's new nodes go (src/vstd/arena.h).
+  static NodePlacement PlaceFor(const Node* root) {
+    return NodePlacement(root, root != nullptr && Unique(root),
+                         root != nullptr && root->arena_block);
+  }
 
   template <typename... Args>
   static Node* NewNode(SpecArena::Pool* pool, Node* l, Node* r, Args&&... args) {
-    void* mem = pool != nullptr ? SpecArena::AllocateFrom(pool, sizeof(Node))
-                                : ::operator new(sizeof(Node));
+    void* mem = NodePlacement::Allocate(pool, sizeof(Node));
     return ::new (mem) Node(pool != nullptr, l, r, std::forward<Args>(args)...);
   }
 
   static void Free(Node* n) {
     bool arena_block = n->arena_block;
     n->~Node();
-    if (arena_block) {
-      SpecArena::Deallocate(n);
-    } else {
-      ::operator delete(n);
-    }
+    NodePlacement::Free(n, arena_block);
   }
 
   // The write paths below pass each subtree down as a (node, owned) pair.
@@ -400,7 +366,7 @@ class PersistentTree {
   // an exception releases what it built.
   class SpineBuilder {
    public:
-    SpineBuilder() : place_(nullptr) {}
+    SpineBuilder() : place_(PlaceFor(nullptr)) {}
     ~SpineBuilder() { Release(Unthread()); }
     SpineBuilder(const SpineBuilder&) = delete;
     SpineBuilder& operator=(const SpineBuilder&) = delete;
@@ -446,7 +412,7 @@ class PersistentTree {
       return below;
     }
 
-    Placement place_;
+    NodePlacement place_;
     Node* bottom_ = nullptr;  // the last key pushed
     std::size_t size_ = 0;
   };

@@ -100,6 +100,20 @@ TEST(AverifLintTest, HotPathAllocFires) {
   EXPECT_EQ(BinaryExit("--root " + FixtureRoot("hot_path_alloc")), 1);
 }
 
+// A member function of a class template, declared with a requires-clause,
+// reached through a member that is an instance of the template.
+TEST(AverifLintTest, HotPathAllocFollowsTemplateMemberThroughInstance) {
+  std::vector<Finding> findings = Lint(FixtureRoot("hot_path_alloc_template"));
+  std::vector<Finding> hits = WithRule(findings, "hot-path-alloc");
+  ASSERT_EQ(hits.size(), 1u) << ToText(findings, false);
+  EXPECT_EQ(hits[0].file, "src/vstd/permission_map.h");
+  EXPECT_NE(hits[0].message.find(
+                "ProcessManager::CloneForVerification -> PermissionMap::CloneForVerification"),
+            std::string::npos)
+      << hits[0].message;
+  EXPECT_EQ(findings.size(), hits.size()) << ToText(findings, false);
+}
+
 TEST(AverifLintTest, PayloadCopyFiresOnMemcpyAndByteLoop) {
   std::vector<Finding> findings = Lint(FixtureRoot("payload_copy"));
   std::vector<Finding> hits = WithRule(findings, "payload-copy");

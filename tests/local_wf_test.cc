@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/alloc_hook.h"
 #include "src/verif/refinement_checker.h"
 #include "src/verif/trace_gen.h"
 #include "src/vstd/check.h"
@@ -190,8 +191,9 @@ InvResult LocalWfSince(Kernel* k, const AbstractKernel& base) {
   k->DrainDirty(&written, &writes);
   written.Normalize();
   writes.KeepOldest();
+  LocalWfScratch scratch;
   std::uint64_t entries = 0;
-  return k->LocalWf(base, written, writes, &entries);
+  return k->LocalWf(base, written, writes, &scratch, &entries);
 }
 
 // A trace thread that can be dispatched.
@@ -617,6 +619,45 @@ TEST(LocalWfTest, ChecksBorrowsWithAWrittenEnd) {
   InvResult local = LocalWfSince(&f.kernel, base);
   EXPECT_EQ(local.detail, "virtual-memory subsystem ill-formed");
   EXPECT_FALSE(f.kernel.TotalWf().ok);
+}
+
+// LocalWf's working storage is the caller's: once it has grown to a
+// check's size, a second check of the same shape makes no heap allocation
+// (its tallies are spec maps, placed in the arena as under the checker).
+TEST(LocalWfTest, SecondCheckOfTheSameShapeAllocatesNothing) {
+  TraceFixture f = EstablishedFixture();
+  const AbstractKernel base = f.kernel.Abstract();
+  TraceGen gen = EveryModeGen(11);
+  for (int step = 0; step < 64; ++step) {
+    TraceGen::Cmd cmd = gen.Gen(f);
+    gen.Observe(cmd.call, f.kernel.Step(f.thrds[cmd.thread_idx], cmd.call));
+    for (ThrdPtr t : f.thrds) {
+      if (f.kernel.HasInbound(t)) {
+        f.kernel.TakeInbound(t);
+      }
+    }
+  }
+  DirtySet written;
+  PageAllocator::Writes writes;
+  f.kernel.DrainDirty(&written, &writes);
+  written.Normalize();
+  writes.KeepOldest();
+
+  ArenaScope arena_scope(std::make_shared<SpecArena>());
+  LocalWfScratch scratch;
+  std::uint64_t entries = 0;
+  InvResult first = f.kernel.LocalWf(base, written, writes, &scratch, &entries);
+  ASSERT_TRUE(first.ok) << first.detail;
+  // The check had objects, charged containers and a free-list head run.
+  EXPECT_FALSE(scratch.scope.thrds.empty());
+  EXPECT_FALSE(scratch.charged.empty());
+  EXPECT_FALSE(writes.frames.empty());
+
+  obs::AllocProbe probe;
+  InvResult second = f.kernel.LocalWf(base, written, writes, &scratch, &entries);
+  const std::uint64_t allocs = probe.allocs();
+  EXPECT_TRUE(second.ok);
+  EXPECT_EQ(allocs, 0u);
 }
 
 // The four cases in which a Wf check runs TotalWf, read from the counter.

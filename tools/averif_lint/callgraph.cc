@@ -224,8 +224,8 @@ void Project::ScanScope(int file_index, std::size_t begin, std::size_t end,
         owner = q;
       }
     }
-    // Trailer: const/noexcept/attribute macros until '{' (definition), or a
-    // terminator proving this is a declaration/expression.
+    // Trailer: const/noexcept/attribute macros/requires-clause until '{'
+    // (definition), or a terminator proving this is a declaration/expression.
     std::size_t j = pclose;
     std::size_t body_open = std::string::npos;
     FunctionInfo fn;
@@ -241,6 +241,10 @@ void Project::ScanScope(int file_index, std::size_t begin, std::size_t end,
       }
       if (t == ';' || t == ',' || t == ')' || t == '}' || t == '=') {
         break;
+      }
+      if (t == ':' && j + 1 < end && code[j + 1] == ':') {
+        j += 2;  // a qualified name (`requires std::copyable<T>`), not an initializer list
+        continue;
       }
       if (t == ':') {
         // Constructor initializer list: scan to the body '{'. A '{' whose
